@@ -1,8 +1,8 @@
-// A16 — Extension: the concurrency-control zoo. Every registered sharded
-// engine (s-2PL, g-2PL, no-wait, wait-die, OCC, ordered-release 2PL) swept
-// over protocol x WAN latency x contention (zipf skew) x server count, with
-// the per-phase lifecycle spans, so the table shows *why* each policy wins
-// or loses at each RTT:
+// A16 — Extension: the concurrency-control zoo. Every registered engine
+// (s-2PL, g-2PL, the caching family, no-wait, wait-die, wound-wait, OCC,
+// ordered-release 2PL) swept over protocol x WAN latency x contention (zipf
+// skew) x server count, with the per-phase lifecycle spans, so the table
+// shows *why* each policy wins or loses at each RTT:
 //
 //  - s-2PL pays lock wait that grows with latency (waiters queue behind
 //    WAN-long holds); detection keeps aborts rare but waits long.
@@ -38,7 +38,6 @@ std::vector<const cc::EngineInfo*> SelectedEngines(
     const harness::CliOptions& options) {
   std::vector<const cc::EngineInfo*> engines;
   for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!info.sharded) continue;  // caching engines are single-server only
     if (!options.cc.empty() && options.cc != info.name) continue;
     engines.push_back(&info);
   }
@@ -63,7 +62,7 @@ void AddSpanRow(harness::Table& table, const Row& row,
 void Run(const harness::CliOptions& options) {
   const std::vector<const cc::EngineInfo*> engines = SelectedEngines(options);
   if (engines.empty()) {
-    std::fprintf(stderr, "--cc=%s does not name a sharded engine\n",
+    std::fprintf(stderr, "--cc=%s does not name a registered engine\n",
                  options.cc.c_str());
     std::exit(2);
   }

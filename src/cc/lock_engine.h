@@ -31,8 +31,8 @@ struct LockEngineTraits {
 /// client-coordinated 2PC via ShardedEngineBase, and a pluggable
 /// ConflictPolicy deciding what happens when a request blocks. The message
 /// sequences are ported verbatim from the pre-refactor sharded s-2PL engine
-/// — with MakeDetectPolicy this class *is* that engine, bit for bit (the
-/// equivalence suite and the legacy golden tables pin this) — so every
+/// — with MakeDetectPolicy this class *is* that engine and the s-2PL
+/// baseline, bit for bit (the legacy golden tables pin this) — so every
 /// policy inherits sharding, the link model, span accounting, and the
 /// invariant layer for free.
 ///
@@ -137,9 +137,8 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   void RefreshLeaseWaits(int32_t shard, ItemId item);
   /// Unpins the finished txn's leases and flushes deferred releases.
   void FlushLeasePins(TxnRun& run);
-  void EmitLeaseEvent(obs::EventKind kind, proto::ProtocolEventKind pkind,
-                      int32_t shard, TxnId txn, SiteId site, ItemId item,
-                      bool exclusive);
+  void EmitLeaseEvent(obs::EventKind kind, int32_t shard, TxnId txn,
+                      SiteId site, ItemId item, bool exclusive);
 
   std::vector<std::unique_ptr<db::LockTable>> lock_tables_;
   std::unique_ptr<ConflictPolicy> policy_;

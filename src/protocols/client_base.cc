@@ -444,12 +444,6 @@ void EngineBase::RegisterMetrics(obs::MetricsRegistry* metrics) {
   });
 }
 
-void EngineBase::RecordEvent(ProtocolEvent event) {
-  if (!config_.record_protocol_events) return;
-  event.time = sim_.Now();
-  result_.protocol_events.push_back(std::move(event));
-}
-
 void EngineBase::ServerAbortDecision(TxnId txn, SiteId client_site,
                                      SiteId server_site) {
   TxnRun* run = FindRun(txn);

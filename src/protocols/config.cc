@@ -201,12 +201,12 @@ Status SimConfig::Validate() const {
     // obs_trace is supported: each LP gets its own Tracer and the streams
     // are k-way merged at window barriers into the kernel's deterministic
     // (time, lp, seq) order (DESIGN.md §16). The legacy per-message network
-    // trace and the invariant event stream remain serial-only.
-    if (trace || record_protocol_events) {
+    // trace remains serial-only.
+    if (trace) {
       return Status::InvalidArgument(
-          "sim_threads > 1 does not record network traces or protocol "
-          "events (the structured obs trace IS supported: --trace merges "
-          "per-LP streams deterministically)");
+          "sim_threads > 1 does not record network traces (the structured "
+          "obs trace IS supported: --trace merges per-LP streams "
+          "deterministically)");
     }
   }
   return Status::Ok();

@@ -58,9 +58,9 @@ struct SimConfig {
   SimTime latency = 500;
 
   /// Number of data servers the item space is sharded across (extension).
-  /// 1 reproduces the paper's single-server model and runs the original
-  /// engines; N > 1 runs the sharded engines with client-coordinated
-  /// two-phase commit across the servers a transaction touched. Server 0
+  /// 1 reproduces the paper's single-server model; N > 1 adds
+  /// client-coordinated two-phase commit across the servers a transaction
+  /// touched. Every engine runs at any server count. Server 0
   /// keeps site id kServerSite (0); extra server k >= 1 gets site id
   /// num_clients + k.
   int32_t num_servers = 1;
@@ -151,11 +151,6 @@ struct SimConfig {
   /// Observation-only and deterministic at any thread count. 0 (default)
   /// disables sampling.
   SimTime metrics_interval = 0;
-  /// Record the protocol-invariant event stream (window dispatches, reader
-  /// release arrivals, writer update releases, graph audits, 2PC rounds)
-  /// consumed by the checkers in protocols/invariants.h (tests only; costs
-  /// memory, never changes protocol behavior).
-  bool record_protocol_events = false;
 
   /// Simulated delay of a log force at commit/install; 0 keeps the recovery
   /// substrate free so it does not perturb the reproduced numbers.

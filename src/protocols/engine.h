@@ -138,10 +138,6 @@ class EngineBase {
   void ServerAbortDecision(TxnId txn, SiteId client_site,
                            SiteId server_site = kServerSite);
 
-  /// Appends `event` (stamped with the current simulated time) to the run's
-  /// protocol-event stream; no-op unless record_protocol_events is set.
-  void RecordEvent(ProtocolEvent event);
-
   /// Structured observability tracer (obs/trace.h); enabled iff
   /// config.obs_trace. Protocol code emits through it freely — Emit is a
   /// no-op when disabled.
@@ -151,7 +147,7 @@ class EngineBase {
   /// reaches the owning server: captures the request flight's network
   /// components (from the network's current delivery, when one is active)
   /// for span accounting and emits kLockRequest. `shard` is the serving
-  /// shard index (0 for single-server engines).
+  /// shard index (0 on a single server).
   void NoteRequestAtServer(TxnId txn, ItemId item, LockMode mode,
                            int32_t shard = 0);
 

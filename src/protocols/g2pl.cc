@@ -3,30 +3,39 @@
 #include <utility>
 
 #include "common/check.h"
+#include "protocols/invariants.h"
 
 namespace gtpl::proto {
 
-G2plEngine::G2plEngine(const SimConfig& config) : EngineBase(config) {
-  core::WindowManager::Callbacks callbacks;
-  callbacks.dispatch = [this](ItemId item, Version version,
-                              std::shared_ptr<const core::ForwardList> fl) {
-    WmDispatch(item, version, std::move(fl));
-  };
-  callbacks.abort = [this](TxnId txn, SiteId client_site) {
-    WmAbort(txn, client_site);
-  };
-  callbacks.expand = [this](ItemId item, Version version,
-                            std::shared_ptr<const core::ForwardList> fl,
-                            TxnId txn, SiteId client_site,
-                            int32_t member_index) {
-    WmExpand(item, version, std::move(fl), txn, client_site, member_index);
-  };
-  callbacks.can_abort = [this](TxnId txn) {
-    TxnRun* run = FindRun(txn);
-    return run != nullptr && !run->finished && !run->doomed;
-  };
-  wm_ = std::make_unique<core::WindowManager>(
-      config.workload.num_items, config.g2pl, &store(), std::move(callbacks));
+G2plEngine::G2plEngine(const SimConfig& config) : ShardedEngineBase(config) {
+  coordinator_ = std::make_unique<core::ShardCoordinator>();
+  wms_.reserve(static_cast<size_t>(config.num_servers));
+  for (int32_t shard = 0; shard < config.num_servers; ++shard) {
+    core::WindowManager::Callbacks callbacks;
+    callbacks.dispatch = [this, shard](
+                             ItemId item, Version version,
+                             std::shared_ptr<const core::ForwardList> fl) {
+      WmDispatch(shard, item, version, std::move(fl));
+    };
+    callbacks.abort = [this, shard](TxnId txn, SiteId client_site) {
+      WmAbort(shard, txn, client_site);
+    };
+    callbacks.expand = [this, shard](
+                           ItemId item, Version version,
+                           std::shared_ptr<const core::ForwardList> fl,
+                           TxnId txn, SiteId client_site,
+                           int32_t member_index) {
+      WmExpand(shard, item, version, std::move(fl), txn, client_site,
+               member_index);
+    };
+    callbacks.can_abort = [this](TxnId txn) {
+      TxnRun* run = FindRun(txn);
+      return run != nullptr && !run->finished && !run->doomed;
+    };
+    wms_.push_back(std::make_unique<core::WindowManager>(
+        config.workload.num_items, config.g2pl, &store(),
+        std::move(callbacks), coordinator_.get()));
+  }
 }
 
 G2plEngine::TxnState& G2plEngine::EnsureTxn(TxnId txn, int32_t client_index) {
@@ -41,43 +50,39 @@ void G2plEngine::SendRequest(TxnRun& run) {
   const workload::Operation op = run.op();
   const int32_t restarts = ClientAt(run.client_index).restart_streak;
   EnsureTxn(txn, run.client_index);
-  network().Send(site, kServerSite, "lock-request",
-                 [this, txn, site, op, restarts] {
-                   NoteRequestAtServer(txn, op.item, op.mode);
-                   wm_->OnRequest(txn, site, op.item, op.mode, restarts);
+  const int32_t shard = ShardOf(op.item);
+  network().Send(site, ServerSiteOf(shard), "lock-request",
+                 [this, shard, txn, site, op, restarts] {
+                   NoteRequestAtServer(txn, op.item, op.mode, shard);
+                   wms_[static_cast<size_t>(shard)]->OnRequest(
+                       txn, site, op.item, op.mode, restarts);
                  });
 }
 
-void G2plEngine::WmDispatch(ItemId item, Version version,
+void G2plEngine::TraceWindow(obs::EventKind kind, int32_t shard, ItemId item,
+                             Version version, const core::ForwardList& fl,
+                             TxnId txn) {
+  if (!tracer().enabled()) return;
+  obs::TraceEvent event;
+  event.kind = kind;
+  event.txn = txn;
+  event.item = item;
+  event.shard = shard;
+  event.payload = static_cast<int64_t>(version);
+  event.entries = ObsSnapshotForwardList(fl);
+  tracer().Emit(std::move(event));
+  obs::TraceEvent audit;
+  audit.kind = obs::EventKind::kGraphCheck;
+  audit.item = item;
+  audit.shard = shard;
+  audit.flag = coordinator_->graph().IsAcyclic();
+  tracer().Emit(std::move(audit));
+}
+
+void G2plEngine::WmDispatch(int32_t shard, ItemId item, Version version,
                             std::shared_ptr<const core::ForwardList> fl) {
-  if (config().record_protocol_events || tracer().enabled()) {
-    const bool acyclic = wm_->graph().IsAcyclic();
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kWindowDispatched;
-      event.item = item;
-      event.entries = SnapshotForwardList(*fl);
-      RecordEvent(std::move(event));
-      ProtocolEvent audit;
-      audit.kind = ProtocolEventKind::kGraphCheck;
-      audit.item = item;
-      audit.flag = acyclic;
-      RecordEvent(std::move(audit));
-    }
-    if (tracer().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kWindowDispatch;
-      event.item = item;
-      event.payload = static_cast<int64_t>(version);
-      event.entries = ObsSnapshotForwardList(*fl);
-      tracer().Emit(std::move(event));
-      obs::TraceEvent audit;
-      audit.kind = obs::EventKind::kGraphCheck;
-      audit.item = item;
-      audit.flag = acyclic;
-      tracer().Emit(std::move(audit));
-    }
-  }
+  TraceWindow(obs::EventKind::kWindowDispatch, shard, item, version, *fl,
+              kInvalidTxn);
   for (int32_t e = 0; e < fl->num_entries(); ++e) {
     for (const core::FlMember& m : fl->entry(e).members) {
       TxnState& ts = EnsureTxn(m.txn, m.client - 1);
@@ -85,51 +90,22 @@ void G2plEngine::WmDispatch(ItemId item, Version version,
       ts.slot_items.push_back(item);
     }
   }
-  DeliverToEntry(kServerSite, item, version, std::move(fl), 0);
+  DeliverToEntry(ServerSiteOf(shard), item, version, std::move(fl), 0);
 }
 
-void G2plEngine::WmAbort(TxnId txn, SiteId client_site) {
-  ServerAbortDecision(txn, client_site);
+void G2plEngine::WmAbort(int32_t shard, TxnId txn, SiteId client_site) {
+  ServerAbortDecision(txn, client_site, ServerSiteOf(shard));
 }
 
-void G2plEngine::WmExpand(ItemId item, Version version,
+void G2plEngine::WmExpand(int32_t shard, ItemId item, Version version,
                           std::shared_ptr<const core::ForwardList> fl,
                           TxnId txn, SiteId client_site,
                           int32_t member_index) {
-  if (config().record_protocol_events || tracer().enabled()) {
-    const bool acyclic = wm_->graph().IsAcyclic();
-    if (config().record_protocol_events) {
-      ProtocolEvent event;
-      event.kind = ProtocolEventKind::kWindowExpanded;
-      event.txn = txn;
-      event.item = item;
-      event.entries = SnapshotForwardList(*fl);
-      RecordEvent(std::move(event));
-      ProtocolEvent audit;
-      audit.kind = ProtocolEventKind::kGraphCheck;
-      audit.item = item;
-      audit.flag = acyclic;
-      RecordEvent(std::move(audit));
-    }
-    if (tracer().enabled()) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kWindowExpand;
-      event.txn = txn;
-      event.item = item;
-      event.payload = static_cast<int64_t>(version);
-      event.entries = ObsSnapshotForwardList(*fl);
-      tracer().Emit(std::move(event));
-      obs::TraceEvent audit;
-      audit.kind = obs::EventKind::kGraphCheck;
-      audit.item = item;
-      audit.flag = acyclic;
-      tracer().Emit(std::move(audit));
-    }
-  }
+  TraceWindow(obs::EventKind::kWindowExpand, shard, item, version, *fl, txn);
   TxnState& ts = EnsureTxn(txn, client_site - 1);
   ++ts.slots_outstanding;
   ts.slot_items.push_back(item);
-  network().Send(kServerSite, client_site, "data(expand)",
+  network().Send(ServerSiteOf(shard), client_site, "data(expand)",
                  [this, txn, item, version, fl = std::move(fl),
                   member_index] {
                    OnData(txn, item, version, fl, 0, member_index, 0);
@@ -186,7 +162,8 @@ void G2plEngine::OnData(TxnId txn, ItemId item, Version version,
                         std::shared_ptr<const core::ForwardList> fl,
                         int32_t entry_index, int32_t member_index,
                         int32_t early_releases) {
-  if (drained_.count(txn) > 0) return;
+  auto ts = txns_.find(txn);
+  if (ts == txns_.end()) return;  // drained
   Obligation& ob = obligations_[ObKey{txn, item}];
   if (ob.data_arrived) {
     // A ride-along copy already arrived via a reader release (possible only
@@ -201,8 +178,7 @@ void G2plEngine::OnData(TxnId txn, ItemId item, Version version,
     ob.version = version;
     if (early_releases > 0) ob.releases_needed = early_releases;
   }
-  TxnState& ts = txns_.at(txn);
-  if (ts.finished) {
+  if (ts->second.finished) {
     TryForward(txn, item);
     return;
   }
@@ -213,19 +189,16 @@ void G2plEngine::OnReaderRelease(TxnId writer_txn, ItemId item,
                                  Version version,
                                  std::shared_ptr<const core::ForwardList> fl,
                                  int32_t writer_entry_index) {
-  if (drained_.count(writer_txn) > 0) return;  // waived wait; already gone
-  if (config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kReaderReleaseArrived;
-    event.txn = writer_txn;
-    event.item = item;
-    RecordEvent(std::move(event));
-  }
+  // A drained writer aborted and passed the item through without waiting;
+  // its readers' releases still arrive and are dropped here.
+  auto ts = txns_.find(writer_txn);
+  if (ts == txns_.end()) return;
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kReaderRelease;
     event.txn = writer_txn;
     event.item = item;
+    event.shard = ShardOf(item);
     tracer().Emit(std::move(event));
   }
   Obligation& ob = obligations_[ObKey{writer_txn, item}];
@@ -245,8 +218,7 @@ void G2plEngine::OnReaderRelease(TxnId writer_txn, ItemId item,
     ob.version = version;
   }
   if (ob.forwarded) return;  // aborted writer already passed it through
-  TxnState& ts = txns_.at(writer_txn);
-  if (ts.finished) {
+  if (ts->second.finished) {
     TryForward(writer_txn, item);
   } else {
     MaybeGrant(writer_txn, item, ob);
@@ -257,8 +229,7 @@ void G2plEngine::MaybeGrant(TxnId txn, ItemId item, Obligation& ob) {
   if (ob.granted || !ob.data_arrived) return;
   // MR1W early writers may execute immediately; in basic mode a writer
   // behind a read group starts only once every reader has released to it.
-  if (!config().g2pl.mr1w &&
-      ob.releases_received < ob.releases_needed) {
+  if (!config().g2pl.mr1w && ob.releases_received < ob.releases_needed) {
     return;
   }
   TxnRun* run = FindRun(txn);
@@ -280,18 +251,13 @@ void G2plEngine::TryForward(TxnId txn, ItemId item) {
   // releases arrive (MR1W rule); an aborted transaction waits for nothing.
   if (ts.committed && ob.releases_received < ob.releases_needed) return;
   ob.forwarded = true;
-  if (ts.committed && ob.is_writer && config().record_protocol_events) {
-    ProtocolEvent event;
-    event.kind = ProtocolEventKind::kWriterUpdateReleased;
-    event.txn = txn;
-    event.item = item;
-    RecordEvent(std::move(event));
-  }
+  const int32_t shard = ShardOf(item);
   if (ts.committed && ob.is_writer && tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kWriterRelease;
     event.txn = txn;
     event.item = item;
+    event.shard = shard;
     tracer().Emit(std::move(event));
   }
   const Version version_out =
@@ -303,6 +269,7 @@ void G2plEngine::TryForward(TxnId txn, ItemId item) {
     event.txn = txn;
     event.site = from;
     event.item = item;
+    event.shard = shard;
     event.flag = ts.committed;
     event.mode = ob.is_writer ? 1 : 0;
     event.payload = static_cast<int64_t>(version_out);
@@ -313,9 +280,9 @@ void G2plEngine::TryForward(TxnId txn, ItemId item) {
   }
   if (ob.fl->IsLastEntry(ob.entry)) {
     network().Send(
-        from, kServerSite, "return",
-        [this, item, version_out] {
-          wm_->OnReturn(item, version_out);
+        from, ServerSiteOf(shard), "return",
+        [this, shard, item, version_out] {
+          wms_[static_cast<size_t>(shard)]->OnReturn(item, version_out);
           MaybeGcClientLogs();
         },
         net::kControlPayload + net::kDataPayload);
@@ -342,42 +309,79 @@ void G2plEngine::TryForward(TxnId txn, ItemId item) {
 }
 
 void G2plEngine::CheckDrain(TxnId txn) {
-  TxnState& ts = txns_.at(txn);
-  if (ts.drained || !ts.finished || ts.slots_outstanding != 0) return;
-  ts.drained = true;
-  drained_.insert(txn);
-  wm_->OnTxnDrained(txn);
+  auto it = txns_.find(txn);
+  if (it == txns_.end()) return;  // already drained
+  const TxnState& ts = it->second;
+  if (!ts.finished || ts.slots_outstanding != 0) return;
+  // OnTxnDrained delegates to the shared coordinator, which retires the
+  // transaction across every shard; any manager routes there.
+  wms_[0]->OnTxnDrained(txn);
   for (ItemId item : ts.slot_items) obligations_.erase(ObKey{txn, item});
+  txns_.erase(it);
 }
 
-void G2plEngine::DoCommit(TxnRun& run) {
+void G2plEngine::Finish(TxnRun& run, bool committed) {
   TxnState& ts = EnsureTxn(run.id, run.client_index);
   ts.finished = true;
-  ts.committed = true;
+  ts.committed = committed;
   const std::vector<ItemId> items = ts.slot_items;  // TryForward may drain
   for (ItemId item : items) TryForward(run.id, item);
   CheckDrain(run.id);
 }
 
+void G2plEngine::DoCommit(TxnRun& run) { Finish(run, /*committed=*/true); }
+
 void G2plEngine::OnClientAborted(TxnRun& run) {
-  TxnState& ts = EnsureTxn(run.id, run.client_index);
-  ts.finished = true;
-  ts.committed = false;
-  const std::vector<ItemId> items = ts.slot_items;
-  for (ItemId item : items) TryForward(run.id, item);
-  CheckDrain(run.id);
+  Finish(run, /*committed=*/false);
+}
+
+bool G2plEngine::ShardVote(int32_t shard, TxnId txn, bool speculative) {
+  (void)shard;  // deadlock avoidance is global; every shard sees the same
+  (void)speculative;  // the vote takes no commit-promise action either way
+  return !coordinator_->IsAborted(txn);
+}
+
+void G2plEngine::OnCommitDecision(int32_t shard, TxnId txn) {
+  // Nothing further server-side: in g-2PL the committed data itself
+  // migrates along the forward lists; the servers learn outcomes from the
+  // return messages. The base class already logged the decision.
+  (void)shard;
+  (void)txn;
 }
 
 void G2plEngine::FillProtocolMetrics(RunResult* result) {
-  result->windows_dispatched = wm_->windows_dispatched();
-  result->mean_forward_list_length = wm_->MeanForwardListLength();
-  result->read_group_expansions = wm_->expansions();
-  if (const core::AdaptiveWindowController* ctl = wm_->adaptive_controller()) {
-    result->mean_effective_cap = ctl->MeanEffectiveCap();
-    result->final_effective_cap = ctl->FinalEffectiveCap();
-    result->cap_increases = ctl->cap_increases();
-    result->cap_decreases = ctl->cap_decreases();
+  ShardedEngineBase::FillProtocolMetrics(result);
+  int64_t requests = 0;
+  int64_t cap_samples = 0;
+  double cap_sample_sum = 0.0;
+  int64_t touched_items = 0;
+  double final_cap_sum = 0.0;
+  for (const auto& wm : wms_) {
+    result->windows_dispatched += wm->windows_dispatched();
+    result->read_group_expansions += wm->expansions();
+    requests += wm->total_dispatched_requests();
+    if (const core::AdaptiveWindowController* ctl =
+            wm->adaptive_controller()) {
+      cap_samples += ctl->windows_sampled();
+      cap_sample_sum += ctl->cap_sample_sum();
+      touched_items += ctl->TouchedItems();
+      final_cap_sum += ctl->FinalCapSum();
+      result->cap_increases += ctl->cap_increases();
+      result->cap_decreases += ctl->cap_decreases();
+    }
   }
+  result->mean_forward_list_length =
+      result->windows_dispatched > 0
+          ? static_cast<double>(requests) /
+                static_cast<double>(result->windows_dispatched)
+          : 0.0;
+  result->mean_effective_cap =
+      cap_samples > 0 ? cap_sample_sum / static_cast<double>(cap_samples)
+                      : 0.0;
+  result->final_effective_cap =
+      touched_items > 0
+          ? final_cap_sum / static_cast<double>(touched_items)
+          : 0.0;
 }
 
 }  // namespace gtpl::proto

@@ -9,13 +9,13 @@
 namespace gtpl::proto {
 namespace {
 
-std::string Describe(const ProtocolEvent& event) {
+std::string Describe(const obs::TraceEvent& event) {
   char buffer[128];
   std::snprintf(buffer, sizeof(buffer),
-                "event(kind=%d time=%lld txn=%lld item=%d server=%d)",
-                static_cast<int>(event.kind),
+                "event(kind=%s time=%lld txn=%lld item=%d shard=%d)",
+                obs::ToString(event.kind),
                 static_cast<long long>(event.time),
-                static_cast<long long>(event.txn), event.item, event.server);
+                static_cast<long long>(event.txn), event.item, event.shard);
   return buffer;
 }
 
@@ -24,20 +24,6 @@ void Explain(std::string* explanation, std::string text) {
 }
 
 }  // namespace
-
-std::vector<FlEntryRecord> SnapshotForwardList(const core::ForwardList& fl) {
-  std::vector<FlEntryRecord> entries;
-  entries.reserve(static_cast<size_t>(fl.num_entries()));
-  for (int32_t e = 0; e < fl.num_entries(); ++e) {
-    FlEntryRecord record;
-    record.is_read_group = fl.entry(e).is_read_group;
-    for (const core::FlMember& member : fl.entry(e).members) {
-      record.txns.push_back(member.txn);
-    }
-    entries.push_back(std::move(record));
-  }
-  return entries;
-}
 
 std::vector<obs::FlEntrySnapshot> ObsSnapshotForwardList(
     const core::ForwardList& fl) {
@@ -54,76 +40,10 @@ std::vector<obs::FlEntrySnapshot> ObsSnapshotForwardList(
   return entries;
 }
 
-std::vector<ProtocolEvent> ProtocolEventsFromTrace(
-    const std::vector<obs::TraceEvent>& trace) {
-  std::vector<ProtocolEvent> events;
-  for (const obs::TraceEvent& te : trace) {
-    ProtocolEventKind kind;
-    switch (te.kind) {
-      case obs::EventKind::kWindowDispatch:
-        kind = ProtocolEventKind::kWindowDispatched;
-        break;
-      case obs::EventKind::kWindowExpand:
-        kind = ProtocolEventKind::kWindowExpanded;
-        break;
-      case obs::EventKind::kReaderRelease:
-        kind = ProtocolEventKind::kReaderReleaseArrived;
-        break;
-      case obs::EventKind::kWriterRelease:
-        kind = ProtocolEventKind::kWriterUpdateReleased;
-        break;
-      case obs::EventKind::kGraphCheck:
-        kind = ProtocolEventKind::kGraphCheck;
-        break;
-      case obs::EventKind::kPrepare:
-        kind = ProtocolEventKind::kPrepareArrived;
-        break;
-      case obs::EventKind::kVote:
-        kind = ProtocolEventKind::kVoteArrived;
-        break;
-      case obs::EventKind::kDecide:
-        kind = ProtocolEventKind::kCommitDecisionArrived;
-        break;
-      case obs::EventKind::kLeaseGrant:
-        kind = ProtocolEventKind::kLeaseGranted;
-        break;
-      case obs::EventKind::kLeaseRevoke:
-        kind = ProtocolEventKind::kLeaseRevoked;
-        break;
-      case obs::EventKind::kLeaseRelease:
-        kind = ProtocolEventKind::kLeaseReleased;
-        break;
-      default:
-        continue;  // lifecycle / lock / message events have no counterpart
-    }
-    ProtocolEvent pe;
-    pe.kind = kind;
-    pe.time = te.time;
-    pe.txn = te.txn;
-    pe.item = te.item;
-    pe.server = te.shard;
-    if (kind == ProtocolEventKind::kLeaseGranted ||
-        kind == ProtocolEventKind::kLeaseRevoked ||
-        kind == ProtocolEventKind::kLeaseReleased) {
-      pe.site = te.site;
-    }
-    pe.flag = te.flag;
-    pe.entries.reserve(te.entries.size());
-    for (const obs::FlEntrySnapshot& entry : te.entries) {
-      FlEntryRecord record;
-      record.is_read_group = entry.is_read_group;
-      record.txns = entry.txns;
-      pe.entries.push_back(std::move(record));
-    }
-    events.push_back(std::move(pe));
-  }
-  return events;
-}
-
-bool CheckAcyclicity(const std::vector<ProtocolEvent>& events,
+bool CheckAcyclicity(const std::vector<obs::TraceEvent>& events,
                      std::string* explanation) {
-  for (const ProtocolEvent& event : events) {
-    if (event.kind == ProtocolEventKind::kGraphCheck && !event.flag) {
+  for (const obs::TraceEvent& event : events) {
+    if (event.kind == obs::EventKind::kGraphCheck && !event.flag) {
       Explain(explanation,
               "precedence graph cyclic at " + Describe(event));
       return false;
@@ -133,12 +53,12 @@ bool CheckAcyclicity(const std::vector<ProtocolEvent>& events,
 }
 
 bool CheckForwardListOrderConsistency(
-    const std::vector<ProtocolEvent>& events, std::string* explanation) {
+    const std::vector<obs::TraceEvent>& events, std::string* explanation) {
   // sign[{a,b}] with a < b: +1 when a precedes b, -1 when b precedes a.
   std::map<std::pair<TxnId, TxnId>, int> sign;
-  for (const ProtocolEvent& event : events) {
-    if (event.kind != ProtocolEventKind::kWindowDispatched &&
-        event.kind != ProtocolEventKind::kWindowExpanded) {
+  for (const obs::TraceEvent& event : events) {
+    if (event.kind != obs::EventKind::kWindowDispatch &&
+        event.kind != obs::EventKind::kWindowExpand) {
       continue;
     }
     for (size_t i = 0; i < event.entries.size(); ++i) {
@@ -167,7 +87,7 @@ bool CheckForwardListOrderConsistency(
   return true;
 }
 
-bool CheckMr1wDiscipline(const std::vector<ProtocolEvent>& events,
+bool CheckMr1wDiscipline(const std::vector<obs::TraceEvent>& events,
                          std::string* explanation) {
   // (writer txn, item) -> number of reader releases the writer must collect
   // before releasing its update: the size of the read group directly
@@ -178,13 +98,13 @@ bool CheckMr1wDiscipline(const std::vector<ProtocolEvent>& events,
   // checker robust either way).
   std::map<std::pair<TxnId, ItemId>, int> expected;
   std::map<std::pair<TxnId, ItemId>, int> arrived;
-  for (const ProtocolEvent& event : events) {
+  for (const obs::TraceEvent& event : events) {
     switch (event.kind) {
-      case ProtocolEventKind::kWindowDispatched:
-      case ProtocolEventKind::kWindowExpanded:
+      case obs::EventKind::kWindowDispatch:
+      case obs::EventKind::kWindowExpand:
         for (size_t e = 1; e < event.entries.size(); ++e) {
-          const FlEntryRecord& entry = event.entries[e];
-          const FlEntryRecord& previous = event.entries[e - 1];
+          const obs::FlEntrySnapshot& entry = event.entries[e];
+          const obs::FlEntrySnapshot& previous = event.entries[e - 1];
           if (entry.is_read_group || !previous.is_read_group) continue;
           for (TxnId writer : entry.txns) {
             expected[{writer, event.item}] =
@@ -192,10 +112,10 @@ bool CheckMr1wDiscipline(const std::vector<ProtocolEvent>& events,
           }
         }
         break;
-      case ProtocolEventKind::kReaderReleaseArrived:
+      case obs::EventKind::kReaderRelease:
         ++arrived[{event.txn, event.item}];
         break;
-      case ProtocolEventKind::kWriterUpdateReleased: {
+      case obs::EventKind::kWriterRelease: {
         const auto need = expected.find({event.txn, event.item});
         if (need == expected.end()) break;  // no preceding read group
         const auto have = arrived.find({event.txn, event.item});
@@ -216,7 +136,7 @@ bool CheckMr1wDiscipline(const std::vector<ProtocolEvent>& events,
   return true;
 }
 
-bool CheckLeaseCoherence(const std::vector<ProtocolEvent>& events,
+bool CheckLeaseCoherence(const std::vector<obs::TraceEvent>& events,
                          std::string* explanation) {
   // Per-item replay of the lease state machine as the *events* describe it.
   struct ItemState {
@@ -239,9 +159,9 @@ bool CheckLeaseCoherence(const std::vector<ProtocolEvent>& events,
     }
   };
   std::map<ItemId, ItemState> items;
-  for (const ProtocolEvent& event : events) {
+  for (const obs::TraceEvent& event : events) {
     switch (event.kind) {
-      case ProtocolEventKind::kLeaseGranted: {
+      case obs::EventKind::kLeaseGrant: {
         ItemState& state = items[event.item];
         if (!state.revoking.empty()) {
           Explain(explanation,
@@ -272,7 +192,7 @@ bool CheckLeaseCoherence(const std::vector<ProtocolEvent>& events,
         }
         break;
       }
-      case ProtocolEventKind::kLeaseRevoked: {
+      case obs::EventKind::kLeaseRevoke: {
         ItemState& state = items[event.item];
         if (state.writer != event.site &&
             !contains(state.readers, event.site)) {
@@ -286,7 +206,7 @@ bool CheckLeaseCoherence(const std::vector<ProtocolEvent>& events,
         }
         break;
       }
-      case ProtocolEventKind::kLeaseReleased: {
+      case obs::EventKind::kLeaseRelease: {
         ItemState& state = items[event.item];
         if (state.writer == event.site) state.writer = -1;
         erase(state.readers, event.site);
@@ -300,7 +220,7 @@ bool CheckLeaseCoherence(const std::vector<ProtocolEvent>& events,
   return true;
 }
 
-bool CheckProtocolInvariants(const std::vector<ProtocolEvent>& events,
+bool CheckProtocolInvariants(const std::vector<obs::TraceEvent>& events,
                              std::string* explanation) {
   return CheckAcyclicity(events, explanation) &&
          CheckForwardListOrderConsistency(events, explanation) &&

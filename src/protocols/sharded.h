@@ -7,8 +7,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/forward_list.h"
-#include "core/window_manager.h"
 #include "protocols/engine.h"
 
 namespace gtpl::proto {
@@ -28,9 +26,8 @@ namespace gtpl::proto {
 /// locally as usual). Both rounds travel through the simulated network, so
 /// a cross-server commit pays two extra latency rounds — the cost the
 /// sharding bench quantifies. Transactions confined to one shard skip the
-/// protocol entirely, which is what makes the `num_servers == 1`
-/// configuration reproduce the single-server engines bit for bit (the
-/// standing equivalence suite pins this).
+/// protocol entirely, so with `num_servers == 1` every engine runs the
+/// paper's single-server model (the goldens pin those runs bit for bit).
 ///
 /// That two-flight protocol is CommitPath::kClassic. The geo-aware commit
 /// paths (protocols/commit.h, DESIGN.md §13) rework it per
@@ -112,7 +109,7 @@ class ShardedEngineBase : public EngineBase {
   virtual bool ShardVote(int32_t shard, TxnId txn, bool speculative) = 0;
 
   /// The commit decision arrived at participant `shard` (phase two); the
-  /// base already logged it to the server WAL and recorded the event.
+  /// base already logged it to the server WAL and traced it.
   virtual void OnCommitDecision(int32_t shard, TxnId txn) = 0;
 
   /// Copies the commit-path counters (cross_server_commits, participants,
@@ -202,105 +199,6 @@ class ShardedEngineBase : public EngineBase {
   /// runs have not closed yet (RemoteCoordinated).
   std::unordered_set<TxnId> remote_decided_;
 };
-
-/// g-2PL across shards: one WindowManager per server, all sharing a single
-/// ShardCoordinator, so deadlock avoidance and forward-list reordering
-/// consult one global precedence graph — the same-pair-same-order property
-/// holds across shards. Client-side obligation tracking is shard-agnostic
-/// (items migrate client to client exactly as in the single-server engine;
-/// only the request/return endpoints differ per item).
-class ShardedG2plEngine : public ShardedEngineBase {
- public:
-  explicit ShardedG2plEngine(const SimConfig& config);
-
-  const core::WindowManager& window_manager(int32_t shard) const {
-    return *wms_[static_cast<size_t>(shard)];
-  }
-  const core::ShardCoordinator& coordinator() const { return *coordinator_; }
-
- protected:
-  void SendRequest(TxnRun& run) override;
-  void DoCommit(TxnRun& run) override;
-  void OnClientAborted(TxnRun& run) override;
-  void FillProtocolMetrics(RunResult* result) override;
-  bool ShardVote(int32_t shard, TxnId txn, bool speculative) override;
-  void OnCommitDecision(int32_t shard, TxnId txn) override;
-
- private:
-  // Client-side state mirrors G2plEngine exactly (see g2pl.h).
-  struct TxnState {
-    int32_t client_index = 0;
-    bool finished = false;
-    bool committed = false;
-    bool drained = false;
-    int32_t slots_outstanding = 0;
-    std::vector<ItemId> slot_items;
-  };
-
-  struct Obligation {
-    std::shared_ptr<const core::ForwardList> fl;
-    int32_t entry = 0;
-    int32_t member = 0;
-    bool is_writer = false;
-    bool data_arrived = false;
-    Version version = -1;
-    int32_t releases_needed = 0;
-    int32_t releases_received = 0;
-    bool granted = false;
-    bool forwarded = false;
-  };
-
-  struct ObKey {
-    TxnId txn;
-    ItemId item;
-    bool operator==(const ObKey& other) const {
-      return txn == other.txn && item == other.item;
-    }
-  };
-  struct ObKeyHash {
-    size_t operator()(const ObKey& key) const {
-      return std::hash<int64_t>()(key.txn * 1000003 + key.item);
-    }
-  };
-
-  void WmDispatch(int32_t shard, ItemId item, Version version,
-                  std::shared_ptr<const core::ForwardList> fl);
-  void WmAbort(int32_t shard, TxnId txn, SiteId client_site);
-  void WmExpand(int32_t shard, ItemId item, Version version,
-                std::shared_ptr<const core::ForwardList> fl, TxnId txn,
-                SiteId client_site, int32_t member_index);
-
-  void DeliverToEntry(SiteId from_site, ItemId item, Version version,
-                      std::shared_ptr<const core::ForwardList> fl,
-                      int32_t entry_index);
-  void OnData(TxnId txn, ItemId item, Version version,
-              std::shared_ptr<const core::ForwardList> fl,
-              int32_t entry_index, int32_t member_index,
-              int32_t early_releases);
-  void OnReaderRelease(TxnId writer_txn, ItemId item, Version version,
-                       std::shared_ptr<const core::ForwardList> fl,
-                       int32_t writer_entry_index);
-  void MaybeGrant(TxnId txn, ItemId item, Obligation& ob);
-  void TryForward(TxnId txn, ItemId item);
-  void CheckDrain(TxnId txn);
-  TxnState& EnsureTxn(TxnId txn, int32_t client_index);
-
-  std::unique_ptr<core::ShardCoordinator> coordinator_;
-  std::vector<std::unique_ptr<core::WindowManager>> wms_;
-  std::unordered_map<TxnId, TxnState> txns_;
-  std::unordered_map<ObKey, Obligation, ObKeyHash> obligations_;
-  std::unordered_set<TxnId> drained_;
-};
-
-// (The former ShardedS2plEngine lives on as cc::LockCcEngine with the
-// detection policy — the generic lock engine in cc/lock_engine.h — so the
-// no-wait / wait-die / ordered variants inherit its sharding and 2PC
-// machinery. protocols/s2pl.h keeps the S2plEngine name as a thin alias.)
-
-/// Builds the sharded engine for `config.protocol` (any engine the registry
-/// marks sharded; Validate() rejects sharded caching protocols). Defined in
-/// cc/registry.cc alongside RunSimulation.
-std::unique_ptr<EngineBase> MakeShardedEngine(const SimConfig& config);
 
 }  // namespace gtpl::proto
 

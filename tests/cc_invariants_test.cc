@@ -34,7 +34,7 @@ proto::SimConfig RandomConfig(proto::Protocol protocol, uint64_t seed) {
   config.warmup_txns = 25;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   // Restart-heavy policies (no-wait under write-hot workloads) need more
   // simulated time than the blocking protocols to commit the same count.
   config.max_sim_time = 4'000'000'000;
@@ -45,24 +45,20 @@ proto::RunResult CheckRun(const proto::SimConfig& config) {
   proto::RunResult result = proto::RunSimulation(config);
   EXPECT_FALSE(result.timed_out);
   std::string why;
-  EXPECT_TRUE(proto::CheckAcyclicity(result.protocol_events, &why)) << why;
-  EXPECT_TRUE(
-      proto::CheckForwardListOrderConsistency(result.protocol_events, &why))
+  EXPECT_TRUE(proto::CheckAcyclicity(result.obs_trace, &why)) << why;
+  EXPECT_TRUE(proto::CheckForwardListOrderConsistency(result.obs_trace, &why))
       << why;
-  EXPECT_TRUE(proto::CheckMr1wDiscipline(result.protocol_events, &why)) << why;
+  EXPECT_TRUE(proto::CheckMr1wDiscipline(result.obs_trace, &why)) << why;
   EXPECT_TRUE(proto::HistoryIsSerializable(result.history, &why)) << why;
   return result;
 }
 
-// The headline sweep: every registered engine, randomized workloads, every
-// shard count its registry entry claims to support.
+// The headline sweep: every registered engine, randomized workloads, 1-8
+// shards.
 TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
   for (const EngineInfo& info : Engines()) {
-    const std::vector<int32_t> shard_counts =
-        info.sharded ? std::vector<int32_t>{1, 2, 3, 5, 8}
-                     : std::vector<int32_t>{1};
     for (uint64_t seed = 1; seed <= 2; ++seed) {
-      for (int32_t servers : shard_counts) {
+      for (int32_t servers : {1, 2, 3, 5, 8}) {
         proto::SimConfig config = RandomConfig(info.protocol, seed);
         config.num_servers = servers;
         SCOPED_TRACE(std::string(info.name) + " seed " + std::to_string(seed) +
@@ -75,9 +71,9 @@ TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
 }
 
 // Cross-server 2PC must actually engage for the new engines too: under 4
-// shards each sharded engine commits distributed transactions, and the
-// commit rounds appear in the protocol-event stream (prepare before
-// decision, a full round of yes votes per decision).
+// shards each engine commits distributed transactions, and the commit
+// rounds appear in the trace (prepare before decision, a full round of yes
+// votes per decision).
 TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
   for (const char* name : {"nowait", "waitdie", "woundwait", "occ", "ordered",
                            "c2pl", "cbl", "o2pl"}) {
@@ -92,12 +88,10 @@ TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
     int64_t prepares = 0;
     int64_t yes_votes = 0;
     int64_t decisions = 0;
-    for (const proto::ProtocolEvent& event : result.protocol_events) {
-      prepares += event.kind == proto::ProtocolEventKind::kPrepareArrived;
-      yes_votes +=
-          event.kind == proto::ProtocolEventKind::kVoteArrived && event.flag;
-      decisions +=
-          event.kind == proto::ProtocolEventKind::kCommitDecisionArrived;
+    for (const obs::TraceEvent& event : result.obs_trace) {
+      prepares += event.kind == obs::EventKind::kPrepare;
+      yes_votes += event.kind == obs::EventKind::kVote && event.flag;
+      decisions += event.kind == obs::EventKind::kDecide;
     }
     EXPECT_GT(prepares, 0) << name;
     EXPECT_GE(prepares, decisions) << name;

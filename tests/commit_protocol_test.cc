@@ -96,7 +96,7 @@ SimConfig BatteryConfig(Protocol protocol, CommitPath path, uint64_t seed) {
   config.warmup_txns = 15;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
+  config.obs_trace = true;
   config.max_sim_time = 4'000'000'000;
   return config;
 }
@@ -163,7 +163,6 @@ void CheckCommittedTxns(const RunResult& result, const SimConfig& config,
 
 TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
   for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!info.sharded) continue;
     const bool occ_engine = info.protocol == Protocol::kOcc;
     const bool caching = info.protocol == Protocol::kC2pl ||
                          info.protocol == Protocol::kCbl ||
@@ -184,8 +183,8 @@ TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
         EXPECT_GT(result.commits, 0);
         std::string why;
         EXPECT_TRUE(HistoryIsSerializable(result.history, &why)) << why;
-        EXPECT_TRUE(CheckAcyclicity(result.protocol_events, &why)) << why;
-        EXPECT_TRUE(CheckMr1wDiscipline(result.protocol_events, &why)) << why;
+        EXPECT_TRUE(CheckAcyclicity(result.obs_trace, &why)) << why;
+        EXPECT_TRUE(CheckMr1wDiscipline(result.obs_trace, &why)) << why;
         CheckCommittedTxns(result, config, occ_engine);
         if (servers > 1) {
           EXPECT_GT(result.cross_server_commits, 0);

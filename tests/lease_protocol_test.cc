@@ -3,7 +3,7 @@
 // shards, over contended repeat-access workloads. Each run must stay
 // serializable, satisfy the lease-coherence invariant (at most one write
 // lease per item, no grant while a revoke is outstanding — replayed from
-// the protocol-event stream), keep its counters consistent with the
+// the trace), keep its counters consistent with the
 // deterministic trace, and replay bit-identically.
 
 #include <cstdint>
@@ -38,7 +38,6 @@ proto::SimConfig LeaseConfig(proto::Protocol protocol, uint64_t seed) {
   config.warmup_txns = 20;
   config.seed = seed;
   config.record_history = true;
-  config.record_protocol_events = true;
   config.obs_trace = true;
   config.max_sim_time = 4'000'000'000;
   return config;
@@ -76,8 +75,7 @@ TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
           ASSERT_FALSE(result.timed_out);
           EXPECT_GT(result.commits, 0);
           std::string why;
-          EXPECT_TRUE(proto::CheckProtocolInvariants(result.protocol_events,
-                                                     &why))
+          EXPECT_TRUE(proto::CheckProtocolInvariants(result.obs_trace, &why))
               << why;
           EXPECT_TRUE(proto::HistoryIsSerializable(result.history, &why))
               << why;
