@@ -2,11 +2,11 @@
 #define GTPL_CORE_PRECEDENCE_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
+#include "db/txn_graph.h"
 
 namespace gtpl::core {
 
@@ -27,7 +27,8 @@ enum EdgeKind : uint8_t {
 /// any required edge that would close a cycle triggers an abort instead.
 ///
 /// The graph is consistent with the lock-granting order, hence with the
-/// serialization order of the g-2PL schedule.
+/// serialization order of the g-2PL schedule. Storage and traversal are the
+/// shared db::TxnGraph; this class adds the g-2PL edge-kind rules.
 class PrecedenceGraph {
  public:
   PrecedenceGraph() = default;
@@ -40,9 +41,12 @@ class PrecedenceGraph {
   void AddEdge(TxnId a, TxnId b, EdgeKind kind);
 
   /// True iff a path from `from` to `to` exists (any edge kinds).
-  bool CanReach(TxnId from, TxnId to) const;
+  bool CanReach(TxnId from, TxnId to) const {
+    return graph_.CanReach(from, to);
+  }
 
-  /// Subset of `candidates` reachable from `from` (single DFS).
+  /// Subset of `candidates` reachable from `from` (single DFS), in
+  /// discovery order; callers must not depend on that order.
   std::vector<TxnId> ReachableAmong(
       TxnId from, const std::unordered_set<TxnId>& candidates) const;
 
@@ -79,29 +83,24 @@ class PrecedenceGraph {
   /// get FIFO (or any pre-sorted preference) subject to constraints.
   std::vector<TxnId> ConsistentOrder(const std::vector<TxnId>& txns) const;
 
-  int64_t num_edges() const { return num_edges_; }
-  size_t num_nodes() const { return out_.size(); }
-  bool HasEdge(TxnId a, TxnId b) const;
+  int64_t num_edges() const { return graph_.num_edges(); }
+  /// Transactions with at least one edge.
+  size_t num_nodes() const { return graph_.num_nodes(); }
+  bool HasEdge(TxnId a, TxnId b) const { return graph_.EdgeKinds(a, b) != 0; }
 
   /// True iff any edge points into `txn`.
-  bool HasInEdges(TxnId txn) const {
-    auto it = in_.find(txn);
-    return it != in_.end() && !it->second.empty();
-  }
+  bool HasInEdges(TxnId txn) const { return graph_.HasInEdges(txn); }
 
   /// Targets of `txn`'s outgoing edges (any kind).
-  std::vector<TxnId> OutTargets(TxnId txn) const;
+  std::vector<TxnId> OutTargets(TxnId txn) const {
+    return graph_.OutTargets(txn);
+  }
 
   /// Exhaustive acyclicity check (O(V+E); for tests and debug assertions).
-  bool IsAcyclic() const;
+  bool IsAcyclic() const { return graph_.IsAcyclic(); }
 
  private:
-  void EraseEdge(TxnId a, TxnId b);
-
-  // out_[a][b] = kind bitmask of edge a -> b; in_[b] = sources of edges into b.
-  std::unordered_map<TxnId, std::unordered_map<TxnId, uint8_t>> out_;
-  std::unordered_map<TxnId, std::unordered_set<TxnId>> in_;
-  int64_t num_edges_ = 0;
+  db::TxnGraph graph_;
 };
 
 }  // namespace gtpl::core

@@ -1,108 +1,20 @@
 #include "db/waits_for_graph.h"
 
-#include <algorithm>
-
-#include "common/check.h"
-
 namespace gtpl::db {
 
 void WaitsForGraph::AddWaits(TxnId waiter,
                              const std::vector<TxnId>& holders) {
   for (TxnId holder : holders) {
-    if (holder == waiter) continue;
-    out_[waiter].insert(holder);
-    in_[holder].insert(waiter);
+    if (holder != waiter) graph_.AddEdge(waiter, holder, kWaits);
   }
 }
 
-void WaitsForGraph::RemoveTxn(TxnId txn) {
-  if (auto it = out_.find(txn); it != out_.end()) {
-    for (TxnId to : it->second) {
-      if (auto jt = in_.find(to); jt != in_.end()) {
-        jt->second.erase(txn);
-        if (jt->second.empty()) in_.erase(jt);
-      }
-    }
-    out_.erase(it);
-  }
-  if (auto it = in_.find(txn); it != in_.end()) {
-    for (TxnId from : it->second) {
-      if (auto jt = out_.find(from); jt != out_.end()) {
-        jt->second.erase(txn);
-        if (jt->second.empty()) out_.erase(jt);
-      }
-    }
-    in_.erase(it);
-  }
-}
+void WaitsForGraph::RemoveTxn(TxnId txn) { graph_.RemoveTxn(txn); }
 
-void WaitsForGraph::ClearWaits(TxnId txn) {
-  auto it = out_.find(txn);
-  if (it == out_.end()) return;
-  for (TxnId to : it->second) {
-    if (auto jt = in_.find(to); jt != in_.end()) {
-      jt->second.erase(txn);
-      if (jt->second.empty()) in_.erase(jt);
-    }
-  }
-  out_.erase(it);
-}
-
-bool WaitsForGraph::HasCycleFrom(TxnId start) const {
-  // DFS over nodes reachable from `start`; a cycle through `start` exists
-  // iff `start` is reachable from one of its successors.
-  std::vector<TxnId> stack;
-  std::unordered_set<TxnId> visited;
-  if (auto it = out_.find(start); it != out_.end()) {
-    for (TxnId next : it->second) stack.push_back(next);
-  }
-  while (!stack.empty()) {
-    TxnId node = stack.back();
-    stack.pop_back();
-    if (node == start) return true;
-    if (!visited.insert(node).second) continue;
-    if (auto it = out_.find(node); it != out_.end()) {
-      for (TxnId next : it->second) stack.push_back(next);
-    }
-  }
-  return false;
-}
+void WaitsForGraph::ClearWaits(TxnId txn) { graph_.RemoveOutEdges(txn); }
 
 std::vector<TxnId> WaitsForGraph::CycleThrough(TxnId start) const {
-  // DFS with parent tracking to reconstruct one cycle through `start`.
-  std::unordered_map<TxnId, TxnId> parent;
-  std::vector<TxnId> stack;
-  if (auto it = out_.find(start); it != out_.end()) {
-    for (TxnId next : it->second) {
-      if (parent.emplace(next, start).second) stack.push_back(next);
-    }
-  }
-  while (!stack.empty()) {
-    TxnId node = stack.back();
-    stack.pop_back();
-    if (node == start) continue;
-    if (auto it = out_.find(node); it != out_.end()) {
-      for (TxnId next : it->second) {
-        if (next == start) {
-          // Reconstruct start -> ... -> node -> start.
-          std::vector<TxnId> cycle;
-          for (TxnId cur = node; cur != start; cur = parent.at(cur)) {
-            cycle.push_back(cur);
-          }
-          cycle.push_back(start);
-          std::reverse(cycle.begin(), cycle.end());
-          return cycle;
-        }
-        if (parent.emplace(next, node).second) stack.push_back(next);
-      }
-    }
-  }
-  return {};
-}
-
-int32_t WaitsForGraph::OutDegree(TxnId txn) const {
-  auto it = out_.find(txn);
-  return it == out_.end() ? 0 : static_cast<int32_t>(it->second.size());
+  return graph_.CycleThrough(start);
 }
 
 }  // namespace gtpl::db

@@ -125,7 +125,6 @@ TEST(WaitsForGraphTest, NoCycleOnChain) {
   WaitsForGraph wfg;
   wfg.AddWaits(1, {2});
   wfg.AddWaits(2, {3});
-  EXPECT_FALSE(wfg.HasCycleFrom(1));
   EXPECT_TRUE(wfg.CycleThrough(1).empty());
 }
 
@@ -133,9 +132,7 @@ TEST(WaitsForGraphTest, DetectsTwoCycle) {
   WaitsForGraph wfg;
   wfg.AddWaits(1, {2});
   wfg.AddWaits(2, {1});
-  EXPECT_TRUE(wfg.HasCycleFrom(1));
-  const std::vector<TxnId> cycle = wfg.CycleThrough(1);
-  EXPECT_EQ(cycle.size(), 2u);
+  EXPECT_EQ(wfg.CycleThrough(1), (std::vector<TxnId>{1, 2}));
 }
 
 TEST(WaitsForGraphTest, DetectsLongCycle) {
@@ -144,8 +141,7 @@ TEST(WaitsForGraphTest, DetectsLongCycle) {
   wfg.AddWaits(2, {3});
   wfg.AddWaits(3, {4});
   wfg.AddWaits(4, {1});
-  EXPECT_TRUE(wfg.HasCycleFrom(1));
-  EXPECT_EQ(wfg.CycleThrough(1).size(), 4u);
+  EXPECT_EQ(wfg.CycleThrough(1), (std::vector<TxnId>{1, 2, 3, 4}));
 }
 
 TEST(WaitsForGraphTest, RemoveTxnBreaksCycle) {
@@ -153,7 +149,7 @@ TEST(WaitsForGraphTest, RemoveTxnBreaksCycle) {
   wfg.AddWaits(1, {2});
   wfg.AddWaits(2, {1});
   wfg.RemoveTxn(2);
-  EXPECT_FALSE(wfg.HasCycleFrom(1));
+  EXPECT_TRUE(wfg.CycleThrough(1).empty());
 }
 
 TEST(WaitsForGraphTest, ClearWaitsKeepsIncomingEdges) {
@@ -164,14 +160,39 @@ TEST(WaitsForGraphTest, ClearWaitsKeepsIncomingEdges) {
   EXPECT_EQ(wfg.OutDegree(2), 0);
   EXPECT_EQ(wfg.OutDegree(1), 1);
   wfg.AddWaits(2, {1});
-  EXPECT_TRUE(wfg.HasCycleFrom(1));
+  EXPECT_EQ(wfg.CycleThrough(1), (std::vector<TxnId>{1, 2}));
 }
 
 TEST(WaitsForGraphTest, SelfEdgesIgnored) {
   WaitsForGraph wfg;
   wfg.AddWaits(1, {1, 2});
-  EXPECT_FALSE(wfg.HasCycleFrom(1));
+  EXPECT_TRUE(wfg.CycleThrough(1).empty());
   EXPECT_EQ(wfg.OutDegree(1), 1);
+}
+
+// Two cycles run through the same start. CycleThrough follows waits in the
+// order they were added, so the cycle it returns (and hence the youngest
+// victim the detect policy picks from it) is fixed by that order alone.
+TEST(WaitsForGraphTest, CycleThroughFollowsWaitOrder) {
+  for (const bool low_first : {true, false}) {
+    WaitsForGraph wfg;
+    wfg.AddWaits(1, low_first ? std::vector<TxnId>{2, 5}
+                              : std::vector<TxnId>{5, 2});
+    wfg.AddWaits(2, {3});
+    wfg.AddWaits(3, {1});
+    wfg.AddWaits(5, {1});
+    EXPECT_EQ(wfg.CycleThrough(1), low_first
+                                       ? (std::vector<TxnId>{1, 2, 3})
+                                       : (std::vector<TxnId>{1, 5}))
+        << "low_first=" << low_first;
+  }
+  // A repeated wait keeps its first position.
+  WaitsForGraph wfg;
+  wfg.AddWaits(1, {2});
+  wfg.AddWaits(1, {5, 2});
+  wfg.AddWaits(2, {1});
+  wfg.AddWaits(5, {1});
+  EXPECT_EQ(wfg.CycleThrough(1), (std::vector<TxnId>{1, 2}));
 }
 
 TEST(DataStoreTest, VersionsStartAtZero) {
