@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/txn_id_set.h"
 #include "common/types.h"
 #include "core/adaptive_window.h"
 #include "core/forward_list.h"
@@ -88,7 +89,7 @@ class ShardCoordinator {
   void OnTxnDrained(TxnId txn);
 
   const PrecedenceGraph& graph() const { return graph_; }
-  bool IsAborted(TxnId txn) const { return aborted_.count(txn) > 0; }
+  bool IsAborted(TxnId txn) const { return aborted_.Contains(txn); }
 
  private:
   friend class WindowManager;
@@ -103,7 +104,7 @@ class ShardCoordinator {
   std::vector<WindowManager*> managers_;
   // txn -> client site (for abort routing); erased at drain.
   std::unordered_map<TxnId, SiteId> txn_client_;
-  std::unordered_set<TxnId> aborted_;
+  TxnIdSet aborted_;
   // Drained but not yet retired (something still points into them).
   std::unordered_set<TxnId> ghosts_;
 };

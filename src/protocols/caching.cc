@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/txn_id_set.h"
 #include "db/lock_table.h"
 #include "db/waits_for_graph.h"
 #include "protocols/sharded.h"
@@ -122,7 +123,7 @@ class C2plEngine : public ShardedEngineBase {
     (void)speculative;
     // The locks the shard holds for `txn` are the promise; a doomed txn
     // never reaches its commit point, so this is a safety net.
-    return server_aborted_.count(txn) == 0;
+    return !server_aborted_.Contains(txn);
   }
 
   void OnCommitDecision(int32_t shard, TxnId txn) override {
@@ -135,7 +136,7 @@ class C2plEngine : public ShardedEngineBase {
   void ServerOnRequest(int32_t shard, TxnId txn, SiteId site, ItemId item,
                        LockMode mode) {
     NoteRequestAtServer(txn, item, mode, shard);
-    if (server_aborted_.count(txn) > 0) return;
+    if (server_aborted_.Contains(txn)) return;
     const db::LockResult outcome = lock_table_.Request(txn, item, mode);
     if (outcome == db::LockResult::kGranted) {
       SendGrant(txn, site, item);
@@ -169,7 +170,7 @@ class C2plEngine : public ShardedEngineBase {
   void ServerOnRelease(
       int32_t shard, TxnId txn,
       const std::vector<std::pair<ItemId, Version>>& updates) {
-    GTPL_CHECK_EQ(server_aborted_.count(txn), 0u);
+    GTPL_CHECK(!server_aborted_.Contains(txn));
     if (tracer().enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kLockRelease;
@@ -207,7 +208,7 @@ class C2plEngine : public ShardedEngineBase {
   }
 
   void ServerAbort(TxnId victim, int32_t shard) {
-    GTPL_CHECK(server_aborted_.insert(victim).second);
+    GTPL_CHECK(server_aborted_.Insert(victim));
     wfg_.RemoveTxn(victim);
     ReleaseLocks(victim);
     TxnRun* run = FindRun(victim);
@@ -217,7 +218,7 @@ class C2plEngine : public ShardedEngineBase {
 
   db::LockTable lock_table_;
   db::WaitsForGraph wfg_;
-  std::unordered_set<TxnId> server_aborted_;
+  TxnIdSet server_aborted_;
   std::unordered_map<TxnId, int32_t> pending_releases_;
   std::vector<std::unordered_map<ItemId, Version>> caches_;
   int64_t cache_hits_ = 0;
@@ -311,7 +312,7 @@ class CblEngine : public ShardedEngineBase {
   bool ShardVote(int32_t shard, TxnId txn, bool speculative) override {
     (void)shard;
     (void)speculative;
-    return server_aborted_.count(txn) == 0;
+    return !server_aborted_.Contains(txn);
   }
 
   void OnCommitDecision(int32_t shard, TxnId txn) override {
@@ -341,7 +342,7 @@ class CblEngine : public ShardedEngineBase {
   void ServerOnRequest(int32_t shard, TxnId txn, SiteId site, ItemId item,
                        LockMode mode) {
     NoteRequestAtServer(txn, item, mode, shard);
-    if (server_aborted_.count(txn) > 0) return;
+    if (server_aborted_.Contains(txn)) return;
     ItemCbl& it = items_[static_cast<size_t>(item)];
     if (it.x_holder == kInvalidTxn && it.queue.empty()) {
       if (mode == LockMode::kShared) {
@@ -426,8 +427,8 @@ class CblEngine : public ShardedEngineBase {
       cc.deferred_acks.push_back(item);
       TxnRun* pinner = ClientAt(site - 1).current.get();
       if (pinner != nullptr && !pinner->finished &&
-          server_aborted_.count(collector) == 0 &&
-          server_aborted_.count(pinner->id) == 0) {
+          !server_aborted_.Contains(collector) &&
+          !server_aborted_.Contains(pinner->id)) {
         wfg_.AddWaits(collector, {pinner->id});
         if (!wfg_.CycleThrough(collector).empty()) {
           ServerAbort(pinner->id, item);
@@ -478,7 +479,7 @@ class CblEngine : public ShardedEngineBase {
     ItemCbl& it = items_[static_cast<size_t>(item)];
     while (!it.queue.empty()) {
       const PendingReq head = it.queue.front();
-      if (server_aborted_.count(head.txn) > 0) {
+      if (server_aborted_.Contains(head.txn)) {
         it.queue.pop_front();
         continue;
       }
@@ -528,7 +529,7 @@ class CblEngine : public ShardedEngineBase {
 
   void ServerOnCommit(TxnId txn,
                       const std::vector<std::pair<ItemId, Version>>& updates) {
-    GTPL_CHECK_EQ(server_aborted_.count(txn), 0u);
+    GTPL_CHECK(!server_aborted_.Contains(txn));
     if (tracer().enabled()) {
       obs::TraceEvent event;
       event.kind = obs::EventKind::kLockRelease;
@@ -554,7 +555,7 @@ class CblEngine : public ShardedEngineBase {
   }
 
   void ServerAbort(TxnId victim, ItemId requested_item) {
-    GTPL_CHECK(server_aborted_.insert(victim).second);
+    GTPL_CHECK(server_aborted_.Insert(victim));
     wfg_.RemoveTxn(victim);
     // Drop the victim's queued requests and exclusive holds.
     for (size_t i = 0; i < items_.size(); ++i) {
@@ -591,7 +592,7 @@ class CblEngine : public ShardedEngineBase {
   db::WaitsForGraph wfg_;
   std::vector<ItemCbl> items_;
   std::vector<ClientCbl> clients_cbl_;
-  std::unordered_set<TxnId> server_aborted_;
+  TxnIdSet server_aborted_;
   int64_t cache_hits_ = 0;
   int64_t callbacks_sent_ = 0;
 };
