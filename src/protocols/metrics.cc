@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.h"
+#include "db/txn_graph.h"
 
 namespace gtpl::proto {
 
@@ -20,54 +20,6 @@ double RunResult::Throughput() const {
   return 1000.0 * static_cast<double>(commits) /
          static_cast<double>(end_time);
 }
-
-namespace {
-
-/// Iterative three-color DFS cycle check over an adjacency map.
-bool HasCycle(
-    const std::unordered_map<TxnId, std::unordered_set<TxnId>>& adj) {
-  enum class Color { kWhite, kGray, kBlack };
-  std::unordered_map<TxnId, Color> color;
-  for (const auto& [node, targets] : adj) {
-    color.try_emplace(node, Color::kWhite);
-    for (TxnId t : targets) color.try_emplace(t, Color::kWhite);
-  }
-  struct Frame {
-    TxnId node;
-    std::unordered_set<TxnId>::const_iterator next;
-    bool has_children;
-  };
-  static const std::unordered_set<TxnId> kEmpty;
-  for (const auto& [start, color_of_start] : color) {
-    if (color_of_start != Color::kWhite) continue;
-    std::vector<Frame> stack;
-    auto push = [&](TxnId node) {
-      color[node] = Color::kGray;
-      auto it = adj.find(node);
-      const auto& targets = it == adj.end() ? kEmpty : it->second;
-      stack.push_back(Frame{node, targets.begin(), it != adj.end()});
-    };
-    push(start);
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      auto it = adj.find(frame.node);
-      const auto& targets = it == adj.end() ? kEmpty : it->second;
-      if (frame.next == targets.end()) {
-        color[frame.node] = Color::kBlack;
-        stack.pop_back();
-        continue;
-      }
-      const TxnId next = *frame.next;
-      ++frame.next;
-      const Color c = color[next];
-      if (c == Color::kGray) return true;
-      if (c == Color::kWhite) push(next);
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 bool HistoryIsSerializable(const std::vector<CommittedTxn>& history,
                            std::string* explanation) {
@@ -98,9 +50,11 @@ bool HistoryIsSerializable(const std::vector<CommittedTxn>& history,
     }
   }
 
-  std::unordered_map<TxnId, std::unordered_set<TxnId>> adj;
-  auto add_edge = [&adj](TxnId a, TxnId b) {
-    if (a != b) adj[a].insert(b);
+  // The serialization graph, on the same dense graph as the protocols'
+  // precedence and waits-for graphs.
+  db::TxnGraph graph;
+  auto add_edge = [&graph](TxnId a, TxnId b) {
+    if (a != b) graph.AddEdge(a, b, 1);
   };
   for (const auto& [item, h] : per_item) {
     // Version order between consecutive committed writers, and the
@@ -137,7 +91,7 @@ bool HistoryIsSerializable(const std::vector<CommittedTxn>& history,
     }
   }
 
-  if (HasCycle(adj)) {
+  if (!graph.IsAcyclic()) {
     if (explanation != nullptr) {
       *explanation = "serialization graph contains a cycle";
     }
