@@ -8,9 +8,12 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <string>
+#include <tuple>
 
-#include "net/network.h"
+#include "obs/trace.h"
 #include "protocols/config.h"
 #include "protocols/engine.h"
 
@@ -32,7 +35,7 @@ gtpl::proto::SimConfig ExampleConfig(gtpl::proto::Protocol protocol) {
   config.measured_txns = 3;
   config.warmup_txns = 0;
   config.seed = 7;
-  config.trace = true;
+  config.obs_trace = true;
   config.max_sim_time = 20000;
   return config;
 }
@@ -46,15 +49,38 @@ void RunAndReport(gtpl::proto::Protocol protocol) {
   const gtpl::proto::SimConfig config = ExampleConfig(protocol);
   const gtpl::proto::RunResult result = gtpl::proto::RunSimulation(config);
   std::printf("--- %s ---\n", gtpl::proto::ToString(protocol));
-  const long long base =
-      result.trace.empty() ? 0
-                           : static_cast<long long>(result.trace[0].send_time);
-  for (const gtpl::net::TraceRecord& record : result.trace) {
-    std::printf("  t=%3lld -> t=%3lld  %-8s -> %-8s  %s\n",
-                static_cast<long long>(record.send_time) - base,
-                static_cast<long long>(record.deliver_time) - base,
-                SiteName(record.from).c_str(), SiteName(record.to).c_str(),
-                record.label.c_str());
+  // The timeline comes from the trace's transport events. A delivery at
+  // time t left its sender at t - d0 - d1 - d2 - d3 (sender queueing,
+  // propagation, receiver queueing, transmission), which matches it to its
+  // msg_send. The run stops at the last commit, so a message can still be
+  // in flight.
+  using Key = std::tuple<long long, gtpl::SiteId, gtpl::SiteId, std::string>;
+  std::map<Key, std::deque<long long>> deliveries;
+  for (const gtpl::obs::TraceEvent& event : result.obs_trace) {
+    if (event.kind != gtpl::obs::EventKind::kMsgDeliver) continue;
+    const long long sent =
+        event.time - event.d0 - event.d1 - event.d2 - event.d3;
+    deliveries[Key{sent, event.peer, event.site, event.label}].push_back(
+        event.time);
+  }
+  long long base = -1;
+  for (const gtpl::obs::TraceEvent& event : result.obs_trace) {
+    if (event.kind != gtpl::obs::EventKind::kMsgSend) continue;
+    if (base < 0) base = event.time;
+    auto delivered =
+        deliveries.find(Key{event.time, event.site, event.peer, event.label});
+    const bool arrived =
+        delivered != deliveries.end() && !delivered->second.empty();
+    std::printf("  t=%3lld -> ", static_cast<long long>(event.time) - base);
+    if (arrived) {
+      std::printf("t=%3lld", delivered->second.front() - base);
+      delivered->second.pop_front();
+    } else {
+      std::printf("t=  -");
+    }
+    std::printf("  %-8s -> %-8s  %s%s\n", SiteName(event.site).c_str(),
+                SiteName(event.peer).c_str(), event.label.c_str(),
+                arrived ? "" : " (in flight when the run ended)");
   }
   std::printf(
       "%llu messages; mean transaction response %.1f units "

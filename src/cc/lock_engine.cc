@@ -22,6 +22,9 @@ LockCcEngine::LockCcEngine(const SimConfig& config,
     lock_tables_.push_back(
         std::make_unique<db::LockTable>(config.workload.num_items));
   }
+  if (traits_.client_data_cache) {
+    data_caches_.resize(static_cast<size_t>(config.num_clients));
+  }
   if (sticky_) {
     lease_caches_.reserve(static_cast<size_t>(config.num_clients));
     for (int32_t i = 0; i < config.num_clients; ++i) {
@@ -84,8 +87,16 @@ void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item,
   TxnRun* run = FindRun(txn);
   if (run == nullptr) return;  // finished in the meantime (nothing to ship)
   const Version version = store().VersionOf(item);
+  // c-2PL: a current cached copy turns the grant into a validation.
+  bool cache_hit = false;
+  if (traits_.client_data_cache) {
+    const auto& cache = data_caches_[static_cast<size_t>(run->client_index)];
+    auto cached = cache.find(item);
+    cache_hit = cached != cache.end() && cached->second == version;
+  }
   network().Send(
-      ServerSiteOf(shard), run->site(), "grant+data",
+      ServerSiteOf(shard), run->site(),
+      cache_hit ? "grant(validate)" : "grant+data",
       [this, txn, item, version] {
         TxnRun* target = FindRun(txn);
         if (target == nullptr || target->finished || target->doomed) {
@@ -94,12 +105,12 @@ void LockCcEngine::SendGrant(int32_t shard, TxnId txn, ItemId item,
         GTPL_CHECK_EQ(target->op().item, item);
         OpGranted(*target, version);
       },
-      net::kControlPayload + net::kDataPayload);
+      cache_hit ? net::kControlPayload
+                : net::kControlPayload + net::kDataPayload);
 }
 
 void LockCcEngine::AbortTxn(TxnId victim) {
   GTPL_CHECK(server_aborted_.Insert(victim));
-  ++policy_aborts_;
   policy_->OnTxnFinished(victim);
   // The victim's locks are dropped on every shard at decision time (the
   // instantaneous coordination plane; see the determinism contract).
@@ -167,6 +178,15 @@ void LockCcEngine::DoCommit(TxnRun& run) {
     touched[shard] = true;
     if (record.mode == LockMode::kExclusive) {
       updates_by[shard].push_back(Update{record.item, record.version_written});
+    }
+  }
+  if (traits_.client_data_cache) {
+    // The committed versions stay cached for the client's next transactions.
+    auto& cache = data_caches_[static_cast<size_t>(run.client_index)];
+    for (const proto::OpRecord& record : run.records) {
+      cache[record.item] = record.mode == LockMode::kExclusive
+                               ? record.version_written
+                               : record.version_read;
     }
   }
   const TxnId txn = run.id;
@@ -278,6 +298,13 @@ void LockCcEngine::OnClientAborted(TxnRun& run) {
   // Server state was already cleaned on every shard at decision time; the
   // client still has to drop its pins so deferred revokes can drain.
   if (sticky_) FlushLeasePins(run);
+  if (traits_.client_data_cache) {
+    // Locally updated copies are dirty; drop them.
+    auto& cache = data_caches_[static_cast<size_t>(run.client_index)];
+    for (const proto::OpRecord& record : run.records) {
+      if (record.mode == LockMode::kExclusive) cache.erase(record.item);
+    }
+  }
 }
 
 bool LockCcEngine::ShardVote(int32_t shard, TxnId txn, bool speculative) {

@@ -25,6 +25,14 @@ struct LockEngineTraits {
   /// request, and a transaction at its commit point has none (DESIGN.md
   /// §12). Saves one WAN round of lock-hold time per cross-server commit.
   bool release_at_prepare = false;
+  /// c-2PL: each client keeps the versions its committed transactions read
+  /// or wrote in a data cache that outlives the transaction. Locking is
+  /// unchanged — every access still takes a per-transaction lock at the
+  /// server — but a grant whose current version the requester already
+  /// caches ships as "grant(validate)" with a control payload instead of
+  /// the data. Saves payload, never a round (DESIGN.md §3.3). Validate()
+  /// keeps it off the sticky-lease path.
+  bool client_data_cache = false;
 };
 
 /// Generic lock-based engine: FIFO strict-2PL lock tables (one per shard),
@@ -50,8 +58,6 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   LockCcEngine(const proto::SimConfig& config,
                std::unique_ptr<ConflictPolicy> policy,
                LockEngineTraits traits = {});
-
-  int64_t policy_aborts() const { return policy_aborts_; }
 
   // PolicyHost:
   void AbortTxn(TxnId victim) override;
@@ -152,7 +158,8 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   // Shard whose blocked request the policy is currently resolving; abort
   // decisions are attributed to its server site.
   int32_t current_shard_ = 0;
-  int64_t policy_aborts_ = 0;
+  // Per-client item -> version data caches (client_data_cache only).
+  std::vector<std::unordered_map<ItemId, Version>> data_caches_;
 
   // Sticky-lease state (empty/unused under --lease=none).
   bool sticky_ = false;

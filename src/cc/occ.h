@@ -2,6 +2,7 @@
 #define GTPL_CC_OCC_H_
 
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "protocols/sharded.h"
@@ -31,11 +32,17 @@ namespace gtpl::cc {
 /// on top of the pessimistic engines' commit path, the classic OCC
 /// trade: no waiting during the read phase, paid for with validation
 /// latency and restarts under contention.
+///
+/// With `client_cache` this is O2PL (DESIGN.md §3.3): clients keep the
+/// copies they fetched or committed across transactions, so a read-phase
+/// access to a cached item is served locally with no round. A miss fetches
+/// through the same read-request/data round and joins the item's server
+/// copy set; every install sends invalidations to the other copy holders,
+/// and an abort evicts the transaction's items so the retry refetches.
+/// Certification is unchanged — a stale cached read fails validation.
 class OccEngine : public proto::ShardedEngineBase {
  public:
-  explicit OccEngine(const proto::SimConfig& config);
-
-  int64_t validation_failures() const { return validation_failures_; }
+  OccEngine(const proto::SimConfig& config, bool client_cache);
 
  protected:
   void SendRequest(TxnRun& run) override;
@@ -43,7 +50,6 @@ class OccEngine : public proto::ShardedEngineBase {
   /// nothing travels at local-commit time.
   void DoCommit(TxnRun& run) override;
   void OnClientAborted(TxnRun& run) override;
-  void FillProtocolMetrics(proto::RunResult* result) override;
   /// Certification commit: overrides the base 2PC entirely. Votes are
   /// decided by validation (data-dependent), so the geo-aware commit paths
   /// do not apply: cross-server commits always run the classic two-flight
@@ -86,13 +92,21 @@ class OccEngine : public proto::ShardedEngineBase {
                const std::vector<proto::OpRecord>& records);
   void ClearReservations(int32_t shard,
                          const std::vector<proto::OpRecord>& records);
-  void InstallOnShard(TxnId txn, const std::vector<proto::OpRecord>& records);
+  /// Installs the writes among `records`. Under the client cache, every
+  /// other copy holder of a written item is invalidated and the committer
+  /// (`committer_site`, or -1 once its run is gone) becomes the only one.
+  void InstallOnShard(int32_t shard, TxnId txn, SiteId committer_site,
+                      const std::vector<proto::OpRecord>& records);
 
   std::vector<std::unordered_map<ItemId, Slot>> reserved_;   // per shard
   std::vector<std::unordered_map<TxnId, std::vector<proto::OpRecord>>>
       prepared_;                                             // per shard
   std::unordered_map<TxnId, VoteCtx> votes_;
-  int64_t validation_failures_ = 0;
+
+  // O2PL's client cache (both empty without `client_cache_`).
+  const bool client_cache_;
+  std::vector<std::unordered_map<ItemId, Version>> caches_;  // per client
+  std::vector<std::unordered_set<SiteId>> copy_sets_;        // per item
 };
 
 }  // namespace gtpl::cc

@@ -25,8 +25,10 @@ std::unique_ptr<EngineBase> MakeG2pl(const SimConfig& config) {
   return std::make_unique<proto::G2plEngine>(config);
 }
 
-std::unique_ptr<EngineBase> MakeCaching(const SimConfig& config) {
-  return proto::MakeCachingEngine(config);
+std::unique_ptr<EngineBase> MakeC2pl(const SimConfig& config) {
+  LockEngineTraits traits;
+  traits.client_data_cache = true;
+  return std::make_unique<LockCcEngine>(config, MakeDetectPolicy(), traits);
 }
 
 std::unique_ptr<EngineBase> MakeNoWait(const SimConfig& config) {
@@ -42,7 +44,11 @@ std::unique_ptr<EngineBase> MakeWoundWait(const SimConfig& config) {
 }
 
 std::unique_ptr<EngineBase> MakeOcc(const SimConfig& config) {
-  return std::make_unique<OccEngine>(config);
+  return std::make_unique<OccEngine>(config, /*client_cache=*/false);
+}
+
+std::unique_ptr<EngineBase> MakeO2pl(const SimConfig& config) {
+  return std::make_unique<OccEngine>(config, /*client_cache=*/true);
 }
 
 std::unique_ptr<EngineBase> MakeOrdered(const SimConfig& config) {
@@ -59,11 +65,11 @@ const std::vector<EngineInfo>& Engines() {
        Protocol::kS2pl, MakeS2pl},
       {"g2pl", "group 2PL with forward lists (paper contribution)",
        Protocol::kG2pl, MakeG2pl},
-      {"c2pl", "caching 2PL: locks+data cached across txns",
-       Protocol::kC2pl, MakeCaching},
-      {"cbl", "callback locking", Protocol::kCbl, MakeCaching},
-      {"o2pl", "optimistic 2PL (deferred write intentions)",
-       Protocol::kO2pl, MakeCaching},
+      {"c2pl", "caching 2PL: s-2PL locking plus a client data cache",
+       Protocol::kC2pl, MakeC2pl},
+      {"cbl", "callback locking", Protocol::kCbl, proto::MakeCblEngine},
+      {"o2pl", "optimistic 2PL: OCC certification plus a client cache",
+       Protocol::kO2pl, MakeO2pl},
       {"nowait", "no-wait 2PL: blocked requests abort the requester",
        Protocol::kNoWait, MakeNoWait},
       {"waitdie", "wait-die 2PL: wait for younger only, die on older",

@@ -7,10 +7,9 @@
 
 namespace gtpl::proto {
 
-/// Builds one of the client-caching protocol engines (c-2PL, CBL, O2PL) —
-/// the caching families the paper names in §1 and defers comparing against
-/// in §6. `config.protocol` selects the variant.
-std::unique_ptr<EngineBase> MakeCachingEngine(const SimConfig& config);
+/// Builds the callback-locking (CBL) engine, one of the client-caching
+/// families the paper names in §1 and defers comparing against in §6.
+std::unique_ptr<EngineBase> MakeCblEngine(const SimConfig& config);
 
 }  // namespace gtpl::proto
 

@@ -70,7 +70,6 @@ EngineBase::EngineBase(const SimConfig& config) : config_(config) {
   // Shard servers (sites > num_clients) must count as servers in the
   // message-direction breakdown; harmless when there are none.
   network_->SetSiteLayout(config.num_clients);
-  if (config.trace) network_->EnableTracing();
   tracer_.Attach(&sim_);
   if (config.obs_trace) tracer_.Enable();
   if (!config.trace_stream_path.empty()) {
@@ -150,7 +149,6 @@ RunResult EngineBase::Run() {
   }
   sim_.Run(config_.max_sim_time == 0 ? -1 : config_.max_sim_time);
   result_.timed_out = measured_commits_ < config_.measured_txns;
-  if (config_.trace) result_.trace = network_->trace();
   result_.events = sim_.events_executed() - sampler_fires;
   result_.end_time = sim_.Now();
   result_.network = network_->stats();

@@ -200,14 +200,7 @@ Status SimConfig::Validate() const {
     }
     // obs_trace is supported: each LP gets its own Tracer and the streams
     // are k-way merged at window barriers into the kernel's deterministic
-    // (time, lp, seq) order (DESIGN.md §16). The legacy per-message network
-    // trace remains serial-only.
-    if (trace) {
-      return Status::InvalidArgument(
-          "sim_threads > 1 does not record network traces (the structured "
-          "obs trace IS supported: --trace merges per-LP streams "
-          "deterministically)");
-    }
+    // (time, lp, seq) order (DESIGN.md §16).
   }
   return Status::Ok();
 }

@@ -210,9 +210,6 @@ struct RunResult {
   /// Committed-transaction history (only when record_history was set).
   std::vector<CommittedTxn> history;
 
-  /// Per-message network trace (only when trace was set).
-  std::vector<net::TraceRecord> trace;
-
   /// Structured observability trace (only when obs_trace was set); see
   /// obs/trace.h and DESIGN.md §11. Deterministic: byte-identical across
   /// reruns of the same seed at any worker count. Empty when the trace was

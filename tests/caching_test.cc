@@ -1,6 +1,8 @@
 // Protocol-level tests of the caching extensions (c-2PL, CBL, O2PL).
 
-#include "protocols/caching.h"
+#include <bit>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -29,14 +31,35 @@ double MessagesPerCommit(const RunResult& result) {
 }
 
 TEST(CachingTest, C2plMatchesS2plRounds) {
-  // Caching 2PL saves payload bytes, not rounds: in the latency-dominated
-  // model its response time tracks s-2PL closely.
-  SimConfig config = BaseConfig(Protocol::kS2pl);
-  const RunResult s2pl = RunSimulation(config);
-  config.protocol = Protocol::kC2pl;
-  const RunResult c2pl = RunSimulation(config);
-  ASSERT_FALSE(c2pl.timed_out);
-  EXPECT_NEAR(c2pl.response.mean() / s2pl.response.mean(), 1.0, 0.1);
+  // Caching 2PL is s-2PL plus a client data cache: it saves payload, never
+  // a round. At infinite bandwidth payload costs no time, so every timing
+  // metric equals s-2PL's exactly, at one server and under sharding.
+  for (int32_t servers : {1, 4}) {
+    SCOPED_TRACE("servers " + std::to_string(servers));
+    // The paper's contended point (50 clients, 25 items, half reads).
+    SimConfig config = BaseConfig(Protocol::kS2pl);
+    config.num_clients = 50;
+    config.latency = 50;
+    config.workload.num_items = 25;
+    config.workload.read_prob = 0.5;
+    config.measured_txns = 2000;
+    config.warmup_txns = 200;
+    config.num_servers = servers;
+    ASSERT_EQ(config.link_bandwidth, 0.0);
+    const RunResult s2pl = RunSimulation(config);
+    config.protocol = Protocol::kC2pl;
+    const RunResult c2pl = RunSimulation(config);
+    ASSERT_FALSE(c2pl.timed_out);
+    EXPECT_EQ(c2pl.commits, s2pl.commits);
+    EXPECT_EQ(c2pl.aborts, s2pl.aborts);
+    EXPECT_EQ(c2pl.events, s2pl.events);
+    EXPECT_EQ(c2pl.network.messages, s2pl.network.messages);
+    EXPECT_EQ(c2pl.end_time, s2pl.end_time);
+    EXPECT_EQ(std::bit_cast<uint64_t>(c2pl.response.mean()),
+              std::bit_cast<uint64_t>(s2pl.response.mean()));
+    // Grants of current cached copies ship no data.
+    EXPECT_LT(c2pl.network.payload_units, s2pl.network.payload_units);
+  }
 }
 
 TEST(CachingTest, CblSavesMessagesOnReadMostlyWorkload) {
@@ -105,6 +128,25 @@ TEST(CachingTest, O2plResponseIncludesCertificationRound) {
   const RunResult result = RunSimulation(config);
   ASSERT_FALSE(result.timed_out);
   EXPECT_GE(result.response.mean(), 4 * 100.0);
+}
+
+TEST(CachingTest, O2plSingleShardCommitForcesTheClientLog) {
+  // A single-shard O2PL commit forces the client commit record after the
+  // certification round, as OCC does: one client with no contention pays
+  // exactly the force delay on top of the undelayed response.
+  for (Protocol protocol : {Protocol::kOcc, Protocol::kO2pl}) {
+    SCOPED_TRACE(ToString(protocol));
+    SimConfig config = BaseConfig(protocol);
+    config.num_clients = 1;
+    config.measured_txns = 50;
+    config.warmup_txns = 0;
+    const RunResult undelayed = RunSimulation(config);
+    config.wal_force_delay = 40;
+    const RunResult forced = RunSimulation(config);
+    ASSERT_FALSE(forced.timed_out);
+    EXPECT_NEAR(forced.response.mean() - undelayed.response.mean(), 40.0,
+                1e-9);
+  }
 }
 
 TEST(CachingTest, CblSingleClientReadsBecomeLocal) {
