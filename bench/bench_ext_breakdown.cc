@@ -20,17 +20,13 @@
 namespace gtpl::bench {
 namespace {
 
-const char* ProtocolName(proto::Protocol protocol) {
-  return protocol == proto::Protocol::kG2pl ? "g2pl" : "s2pl";
-}
-
 void AddBreakdownRow(harness::Table* table, const std::string& head,
                      proto::Protocol protocol,
                      const harness::PointResult& point) {
   const double resp = point.response.mean;
   const double contested =
       point.mean_lock_wait + point.mean_propagation + point.mean_queueing;
-  table->AddRow({head, ProtocolName(protocol),
+  table->AddRow({head, proto::Engines().For(protocol).name,
                  harness::Fmt(resp, 0),
                  harness::Fmt(point.mean_lock_wait, 0),
                  harness::Fmt(point.mean_propagation, 0),

@@ -22,23 +22,22 @@
 // restarting on every conflict — the Brook-2PL claim in miniature.
 
 #include "bench_common.h"
-#include "cc/registry.h"
 
 namespace gtpl::bench {
 namespace {
 
 struct Row {
-  const cc::EngineInfo* engine;
+  const proto::EngineInfo* engine;
   int32_t servers;
   SimTime latency;
   double zipf;
 };
 
-std::vector<const cc::EngineInfo*> SelectedEngines(
+std::vector<const proto::EngineInfo*> SelectedEngines(
     const harness::CliOptions& options) {
-  std::vector<const cc::EngineInfo*> engines;
-  for (const cc::EngineInfo& info : cc::Engines()) {
-    if (!options.cc.empty() && options.cc != info.name) continue;
+  std::vector<const proto::EngineInfo*> engines;
+  for (const proto::EngineInfo& info : proto::Engines()) {
+    if (options.cc && *options.cc != info.value) continue;
     engines.push_back(&info);
   }
   return engines;
@@ -60,25 +59,21 @@ void AddSpanRow(harness::Table& table, const Row& row,
 }
 
 void Run(const harness::CliOptions& options) {
-  const std::vector<const cc::EngineInfo*> engines = SelectedEngines(options);
-  if (engines.empty()) {
-    std::fprintf(stderr, "--cc=%s does not name a registered engine\n",
-                 options.cc.c_str());
-    std::exit(2);
-  }
+  const std::vector<const proto::EngineInfo*> engines =
+      SelectedEngines(options);
   const std::vector<std::string> columns = {
       "cc",    "servers", "latency", "zipf",   "resp", "abort%", "lockw",
       "prop",  "queue",   "think",   "commit", "p99",  "ci%"};
 
   harness::Table zoo(columns);
   TagGrid<Row> grid(options);
-  for (const cc::EngineInfo* engine : engines) {
+  for (const proto::EngineInfo* engine : engines) {
     for (int32_t servers : {1, 4}) {
       for (SimTime latency : {1, 100, 500}) {
         for (double zipf : {0.0, 0.9}) {
           proto::SimConfig config = PaperBaseConfig();
           harness::ApplyScale(options.scale, &config);
-          config.protocol = engine->protocol;
+          config.protocol = engine->value;
           config.num_servers = servers;
           config.latency = latency;
           config.workload.zipf_theta = zipf;
@@ -98,7 +93,7 @@ void Run(const harness::CliOptions& options) {
 
   harness::Table sorted(columns);
   TagGrid<Row> ablation(options);
-  for (const cc::EngineInfo* engine : engines) {
+  for (const proto::EngineInfo* engine : engines) {
     if (std::string(engine->name) == "g2pl" ||
         std::string(engine->name) == "occ") {
       continue;  // lock-order ablation: 2PL-family engines only
@@ -107,7 +102,7 @@ void Run(const harness::CliOptions& options) {
       for (SimTime latency : {1, 100, 500}) {
         proto::SimConfig config = PaperBaseConfig();
         harness::ApplyScale(options.scale, &config);
-        config.protocol = engine->protocol;
+        config.protocol = engine->value;
         config.num_servers = servers;
         config.latency = latency;
         config.workload.zipf_theta = 0.9;

@@ -22,7 +22,6 @@
 //    reduction traded against response time.
 
 #include "bench_common.h"
-#include "cc/registry.h"
 #include "protocols/commit.h"
 
 namespace gtpl::bench {
@@ -39,7 +38,7 @@ std::vector<const proto::CommitPathInfo*> SelectedPaths(
     const harness::CliOptions& options) {
   std::vector<const proto::CommitPathInfo*> paths;
   for (const proto::CommitPathInfo& info : proto::CommitPaths()) {
-    if (!options.commit.empty() && options.commit != info.name) continue;
+    if (options.commit && *options.commit != info.value) continue;
     paths.push_back(&info);
   }
   return paths;
@@ -66,8 +65,7 @@ void AddRow(harness::Table& table, const Row& row,
 void Run(const harness::CliOptions& options) {
   const std::vector<const proto::CommitPathInfo*> paths =
       SelectedPaths(options);
-  const proto::Protocol engine =
-      options.cc.empty() ? proto::Protocol::kS2pl : options.cc_protocol;
+  const proto::Protocol engine = options.cc.value_or(proto::Protocol::kS2pl);
   const std::vector<std::string> columns = {
       "commit", "latency", "srvlat", "readp",   "resp", "abort%",
       "cross%", "prep",    "vote",   "commit",  "xp50", "flights",
@@ -83,7 +81,7 @@ void Run(const harness::CliOptions& options) {
         config.protocol = engine;
         config.num_servers = 4;
         config.latency = latency;
-        config.commit_path = path->path;
+        config.commit_path = path->value;
         config.workload.read_prob = read_prob;
         grid.Add(Row{path, latency, -1, read_prob}, config);
       }
@@ -101,8 +99,8 @@ void Run(const harness::CliOptions& options) {
   harness::Table coord_table(columns);
   TagGrid<Row> ablation(options);
   for (const proto::CommitPathInfo* path : paths) {
-    if (path->path != proto::CommitPath::kClassic &&
-        path->path != proto::CommitPath::kCoord) {
+    if (path->value != proto::CommitPath::kClassic &&
+        path->value != proto::CommitPath::kCoord) {
       continue;  // placement ablation: client vs chosen coordinator only
     }
     for (SimTime server_latency : {200, 50, 10}) {
@@ -112,7 +110,7 @@ void Run(const harness::CliOptions& options) {
       config.num_servers = 4;
       config.latency = 200;
       config.server_latency = server_latency;
-      config.commit_path = path->path;
+      config.commit_path = path->value;
       config.workload.read_prob = 0.5;
       ablation.Add(Row{path, 200, server_latency, 0.5}, config);
     }

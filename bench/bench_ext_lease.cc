@@ -23,7 +23,6 @@
 #include <string>
 
 #include "bench_common.h"
-#include "cc/registry.h"
 #include "lease/lease.h"
 
 namespace gtpl::bench {
@@ -37,34 +36,24 @@ struct Row {
   int32_t items;
 };
 
-const char* ModeName(lease::LeaseMode mode) {
-  return mode == lease::LeaseMode::kSticky ? "sticky" : "none";
-}
-
 /// Lock engine under test: --cc if given (must accept the lease layer),
 /// s-2PL otherwise.
-const cc::EngineInfo* SelectedEngine(const harness::CliOptions& options) {
-  const std::string name = options.cc.empty() ? "s2pl" : options.cc;
-  const cc::EngineInfo* info = cc::FindEngine(name);
-  if (info == nullptr) {
-    std::fprintf(stderr, "--cc=%s is not a registered engine\n", name.c_str());
-    std::exit(2);
-  }
-  return info;
+const proto::EngineInfo& SelectedEngine(const harness::CliOptions& options) {
+  return proto::Engines().For(options.cc.value_or(proto::Protocol::kS2pl));
 }
 
 /// Lease modes to sweep: the --lease mode alone if the flag was given,
 /// otherwise both (none is the baseline column of every comparison).
 std::vector<lease::LeaseMode> SelectedModes(const harness::CliOptions& options) {
-  if (!options.lease.empty()) return {options.lease_options.mode};
+  if (options.lease) return {*options.lease};
   return {lease::LeaseMode::kNone, lease::LeaseMode::kSticky};
 }
 
 proto::SimConfig LeaseBaseConfig(const harness::CliOptions& options,
-                                 const cc::EngineInfo& engine) {
+                                 const proto::EngineInfo& engine) {
   proto::SimConfig config = PaperBaseConfig();
   harness::ApplyScale(options.scale, &config);
-  config.protocol = engine.protocol;
+  config.protocol = engine.value;
   config.num_clients = 20;
   config.workload.num_items = 128;
   config.workload.read_prob = 0.5;
@@ -73,8 +62,7 @@ proto::SimConfig LeaseBaseConfig(const harness::CliOptions& options,
 
 void ApplyLease(const harness::CliOptions& options, lease::LeaseMode mode,
                 proto::SimConfig* config) {
-  config->lease = options.lease_options;  // ttl / max_held pass through
-  config->lease.mode = mode;
+  config->lease = {mode, options.lease_ttl, options.lease_max_held};
   const Status status = config->Validate();
   if (!status.ok()) {
     std::fprintf(stderr, "config rejected: %s\n", status.message().c_str());
@@ -84,7 +72,7 @@ void ApplyLease(const harness::CliOptions& options, lease::LeaseMode mode,
 
 void AddLeaseRow(harness::Table& table, const Row& row,
                  const harness::PointResult& point) {
-  table.AddRow({ModeName(row.mode), harness::Fmt(row.zipf, 2),
+  table.AddRow({lease::ToString(row.mode), harness::Fmt(row.zipf, 2),
                 std::to_string(row.latency), harness::Fmt(row.repeat, 1),
                 std::to_string(row.items),
                 harness::Fmt(point.response.mean, 0),
@@ -98,7 +86,7 @@ void AddLeaseRow(harness::Table& table, const Row& row,
 }
 
 void Run(const harness::CliOptions& options) {
-  const cc::EngineInfo* engine = SelectedEngine(options);
+  const proto::EngineInfo& engine = SelectedEngine(options);
   const std::vector<lease::LeaseMode> modes = SelectedModes(options);
   const std::vector<std::string> columns = {
       "lease", "zipf",  "latency", "repeat", "items",   "resp",    "opw p50",
@@ -110,7 +98,7 @@ void Run(const harness::CliOptions& options) {
     for (double zipf : {0.5, 0.9}) {
       for (SimTime latency : {100, 500, 1000}) {
         for (double repeat : {0.5, 0.9}) {
-          proto::SimConfig config = LeaseBaseConfig(options, *engine);
+          proto::SimConfig config = LeaseBaseConfig(options, engine);
           config.latency = latency;
           config.workload.zipf_theta = zipf;
           config.workload.repeat_prob = repeat;
@@ -128,7 +116,7 @@ void Run(const harness::CliOptions& options) {
   });
   std::printf("sticky leases (%s): mode x contention x latency x repeat "
               "fraction\n",
-              engine->name);
+              engine.name);
   headline.Print(options.csv_path);
   grid.PrintSummary();
 
@@ -136,7 +124,7 @@ void Run(const harness::CliOptions& options) {
   TagGrid<Row> ablation(options);
   for (const lease::LeaseMode mode : modes) {
     for (int32_t items : {16, 64, 256}) {
-      proto::SimConfig config = LeaseBaseConfig(options, *engine);
+      proto::SimConfig config = LeaseBaseConfig(options, engine);
       config.latency = 500;
       config.workload.num_items = items;
       config.workload.zipf_theta = 0.95;

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <string>
 
-#include "cc/registry.h"
 #include "harness/cli.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
@@ -123,9 +122,9 @@ void PrintUsage(const char* prog) {
       "  --metrics-out=PATH   write the sampled series there (runs > 1\n"
       "                       append .repN per replication)\n"
       "  --metrics-format=csv|jsonl   metrics file format (csv)\n",
-      prog, gtpl::cc::EngineNames().c_str(),
-      gtpl::proto::CommitPathNames().c_str(),
-      gtpl::lease::LeaseModeNames().c_str());
+      prog, gtpl::proto::Engines().Names().c_str(),
+      gtpl::proto::CommitPaths().Names().c_str(),
+      gtpl::lease::LeaseModes().Names().c_str());
 }
 
 bool ParseFlag(const std::string& arg, Flags* flags) {
@@ -138,14 +137,14 @@ bool ParseFlag(const std::string& arg, Flags* flags) {
   if (const char* v1 = value_of("--protocol=")) {
     // Strict: unknown names fail (non-zero exit) listing the registry.
     const gtpl::Status status =
-        gtpl::cc::ParseEngineName(v1, &config.protocol);
+        gtpl::proto::Engines().Parse(v1, &config.protocol);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return BadValue("--protocol", v1);
     }
   } else if (const char* vcc = value_of("--cc=")) {
     const gtpl::Status status =
-        gtpl::cc::ParseEngineName(vcc, &config.protocol);
+        gtpl::proto::Engines().Parse(vcc, &config.protocol);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return BadValue("--cc", vcc);
@@ -166,7 +165,7 @@ bool ParseFlag(const std::string& arg, Flags* flags) {
   } else if (const char* vcp = value_of("--commit=")) {
     // Strict: unknown names fail (non-zero exit) listing the registry.
     const gtpl::Status status =
-        gtpl::proto::ParseCommitPathName(vcp, &config.commit_path);
+        gtpl::proto::CommitPaths().Parse(vcp, &config.commit_path);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return BadValue("--commit", vcp);
@@ -211,7 +210,7 @@ bool ParseFlag(const std::string& arg, Flags* flags) {
   } else if (const char* vlm = value_of("--lease=")) {
     // Strict: unknown names fail (non-zero exit) listing the registry.
     const gtpl::Status status =
-        gtpl::lease::ParseLeaseModeName(vlm, &config.lease.mode);
+        gtpl::lease::LeaseModes().Parse(vlm, &config.lease.mode);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return BadValue("--lease", vlm);

@@ -8,11 +8,6 @@ namespace gtpl::cc {
 
 using proto::SimConfig;
 
-namespace {
-// Committer site of a decision that arrives after the committing run left.
-constexpr SiteId kNoSite = -1;
-}  // namespace
-
 OccEngine::OccEngine(const SimConfig& config, bool client_cache)
     : ShardedEngineBase(config),
       reserved_(static_cast<size_t>(config.num_servers)),
@@ -234,12 +229,15 @@ void OccEngine::OnOccVote(TxnId txn, int32_t shard, bool yes) {
   for (int32_t participant : participants) {
     network().Send(
         from, ServerSiteOf(participant), "commit-decision",
-        [this, participant, txn] { OnOccDecision(participant, txn); });
+        [this, participant, txn, from] {
+          OnOccDecision(participant, txn, from);
+        });
   }
   EngineBase::StartCommit(*run);
 }
 
-void OccEngine::OnOccDecision(int32_t shard, TxnId txn) {
+void OccEngine::OnOccDecision(int32_t shard, TxnId txn,
+                              SiteId committer_site) {
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kDecide;
@@ -254,9 +252,7 @@ void OccEngine::OnOccDecision(int32_t shard, TxnId txn) {
   GTPL_CHECK(it != shard_prepared.end()) << "decision for unprepared txn";
   const std::vector<proto::OpRecord> records = std::move(it->second);
   shard_prepared.erase(it);
-  TxnRun* run = FindRun(txn);
-  InstallOnShard(shard, txn, run != nullptr ? run->site() : kNoSite,
-                 records);
+  InstallOnShard(shard, txn, committer_site, records);
   ClearReservations(shard, records);
 }
 
@@ -333,7 +329,7 @@ void OccEngine::InstallOnShard(int32_t shard, TxnId txn,
                      });
     }
     copies.clear();
-    if (committer_site != kNoSite) copies.insert(committer_site);
+    copies.insert(committer_site);
   }
   MaybeGcClientLogs();
 }

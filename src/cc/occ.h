@@ -84,7 +84,9 @@ class OccEngine : public proto::ShardedEngineBase {
   void OnValidate(int32_t shard, TxnId txn, SiteId client_site,
                   std::vector<proto::OpRecord> records, bool multi);
   void OnOccVote(TxnId txn, int32_t shard, bool yes);
-  void OnOccDecision(int32_t shard, TxnId txn);
+  /// `committer_site` rides the decision: the client finalizes its commit
+  /// as it sends the decisions, so its run is gone by the time they land.
+  void OnOccDecision(int32_t shard, TxnId txn, SiteId committer_site);
 
   bool ValidateOnShard(int32_t shard,
                        const std::vector<proto::OpRecord>& records);
@@ -94,7 +96,7 @@ class OccEngine : public proto::ShardedEngineBase {
                          const std::vector<proto::OpRecord>& records);
   /// Installs the writes among `records`. Under the client cache, every
   /// other copy holder of a written item is invalidated and the committer
-  /// (`committer_site`, or -1 once its run is gone) becomes the only one.
+  /// (`committer_site`) becomes the only one.
   void InstallOnShard(int32_t shard, TxnId txn, SiteId committer_site,
                       const std::vector<proto::OpRecord>& records);
 

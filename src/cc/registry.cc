@@ -1,7 +1,5 @@
 #include "cc/registry.h"
 
-#include <utility>
-
 #include "cc/lock_engine.h"
 #include "cc/occ.h"
 #include "cc/policy.h"
@@ -11,111 +9,37 @@
 #include "protocols/parsim.h"
 
 namespace gtpl::cc {
-namespace {
 
-using proto::EngineBase;
-using proto::Protocol;
-using proto::SimConfig;
-
-std::unique_ptr<EngineBase> MakeS2pl(const SimConfig& config) {
-  return std::make_unique<LockCcEngine>(config, MakeDetectPolicy());
-}
-
-std::unique_ptr<EngineBase> MakeG2pl(const SimConfig& config) {
-  return std::make_unique<proto::G2plEngine>(config);
-}
-
-std::unique_ptr<EngineBase> MakeC2pl(const SimConfig& config) {
-  LockEngineTraits traits;
-  traits.client_data_cache = true;
-  return std::make_unique<LockCcEngine>(config, MakeDetectPolicy(), traits);
-}
-
-std::unique_ptr<EngineBase> MakeNoWait(const SimConfig& config) {
-  return std::make_unique<LockCcEngine>(config, MakeNoWaitPolicy());
-}
-
-std::unique_ptr<EngineBase> MakeWaitDie(const SimConfig& config) {
-  return std::make_unique<LockCcEngine>(config, MakeWaitDiePolicy());
-}
-
-std::unique_ptr<EngineBase> MakeWoundWait(const SimConfig& config) {
-  return std::make_unique<LockCcEngine>(config, MakeWoundWaitPolicy());
-}
-
-std::unique_ptr<EngineBase> MakeOcc(const SimConfig& config) {
-  return std::make_unique<OccEngine>(config, /*client_cache=*/false);
-}
-
-std::unique_ptr<EngineBase> MakeO2pl(const SimConfig& config) {
-  return std::make_unique<OccEngine>(config, /*client_cache=*/true);
-}
-
-std::unique_ptr<EngineBase> MakeOrdered(const SimConfig& config) {
-  LockEngineTraits traits;
-  traits.release_at_prepare = true;
-  return std::make_unique<LockCcEngine>(config, MakeOrderedPolicy(), traits);
-}
-
-}  // namespace
-
-const std::vector<EngineInfo>& Engines() {
-  static const std::vector<EngineInfo>* engines = new std::vector<EngineInfo>{
-      {"s2pl", "strict 2PL, waits-for deadlock detection (paper baseline)",
-       Protocol::kS2pl, MakeS2pl},
-      {"g2pl", "group 2PL with forward lists (paper contribution)",
-       Protocol::kG2pl, MakeG2pl},
-      {"c2pl", "caching 2PL: s-2PL locking plus a client data cache",
-       Protocol::kC2pl, MakeC2pl},
-      {"cbl", "callback locking", Protocol::kCbl, proto::MakeCblEngine},
-      {"o2pl", "optimistic 2PL: OCC certification plus a client cache",
-       Protocol::kO2pl, MakeO2pl},
-      {"nowait", "no-wait 2PL: blocked requests abort the requester",
-       Protocol::kNoWait, MakeNoWait},
-      {"waitdie", "wait-die 2PL: wait for younger only, die on older",
-       Protocol::kWaitDie, MakeWaitDie},
-      {"woundwait", "wound-wait 2PL: wound younger blockers, wait on older",
-       Protocol::kWoundWait, MakeWoundWait},
-      {"occ", "optimistic CC, backward validation at commit",
-       Protocol::kOcc, MakeOcc},
-      {"ordered", "ordered 2PL: in-order acquisition, release at prepare",
-       Protocol::kOrdered, MakeOrdered},
-  };
-  return *engines;
-}
-
-const EngineInfo* FindEngine(const std::string& name) {
-  for (const EngineInfo& info : Engines()) {
-    if (name == info.name) return &info;
+std::unique_ptr<proto::EngineBase> MakeEngine(const proto::SimConfig& config) {
+  using proto::Protocol;
+  switch (config.protocol) {
+    case Protocol::kS2pl:
+      return std::make_unique<LockCcEngine>(config, MakeDetectPolicy());
+    case Protocol::kG2pl:
+      return std::make_unique<proto::G2plEngine>(config);
+    case Protocol::kC2pl:
+      return std::make_unique<LockCcEngine>(
+          config, MakeDetectPolicy(),
+          LockEngineTraits{.client_data_cache = true});
+    case Protocol::kCbl:
+      return proto::MakeCblEngine(config);
+    case Protocol::kO2pl:
+      return std::make_unique<OccEngine>(config, /*client_cache=*/true);
+    case Protocol::kNoWait:
+      return std::make_unique<LockCcEngine>(config, MakeNoWaitPolicy());
+    case Protocol::kWaitDie:
+      return std::make_unique<LockCcEngine>(config, MakeWaitDiePolicy());
+    case Protocol::kOcc:
+      return std::make_unique<OccEngine>(config, /*client_cache=*/false);
+    case Protocol::kOrdered:
+      return std::make_unique<LockCcEngine>(
+          config, MakeOrderedPolicy(),
+          LockEngineTraits{.release_at_prepare = true});
+    case Protocol::kWoundWait:
+      return std::make_unique<LockCcEngine>(config, MakeWoundWaitPolicy());
   }
+  GTPL_CHECK(false) << "protocol without an engine factory";
   return nullptr;
-}
-
-const EngineInfo& EngineFor(proto::Protocol protocol) {
-  for (const EngineInfo& info : Engines()) {
-    if (info.protocol == protocol) return info;
-  }
-  GTPL_CHECK(false) << "protocol without a registered engine";
-  return Engines().front();
-}
-
-std::string EngineNames() {
-  std::string names;
-  for (const EngineInfo& info : Engines()) {
-    if (!names.empty()) names += ", ";
-    names += info.name;
-  }
-  return names;
-}
-
-Status ParseEngineName(const std::string& name, proto::Protocol* protocol) {
-  const EngineInfo* info = FindEngine(name);
-  if (info == nullptr) {
-    return Status::InvalidArgument("unknown engine '" + name +
-                                   "' (registered: " + EngineNames() + ")");
-  }
-  *protocol = info->protocol;
-  return Status::Ok();
 }
 
 }  // namespace gtpl::cc
@@ -130,7 +54,7 @@ RunResult RunSimulation(const SimConfig& config) {
     // below bit-identical.
     return RunParallelSimulation(config);
   }
-  return cc::EngineFor(config.protocol).make(config)->Run();
+  return cc::MakeEngine(config)->Run();
 }
 
 }  // namespace gtpl::proto

@@ -7,7 +7,6 @@
 #include <string>
 #include <system_error>
 
-#include "cc/registry.h"
 #include "exec/thread_pool.h"
 
 namespace gtpl::harness {
@@ -22,6 +21,21 @@ bool ParseNumber(const char* text, T* out) {
   if (result.ec != std::errc() || result.ptr != end) return false;
   *out = value;
   return true;
+}
+
+/// Strict registry lookup for --cc / --commit / --lease: an unknown name
+/// prints the error listing the registry and leaves `out` untouched.
+template <typename Entry>
+Status ParseName(const NameTable<Entry>& table, const char* name,
+                 std::optional<typename NameTable<Entry>::Value>* out) {
+  typename NameTable<Entry>::Value value{};
+  const Status status = table.Parse(name, &value);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return status;
+  }
+  *out = value;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -75,39 +89,25 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
       }
       options->jobs = static_cast<int>(value);
     } else if (const char* v7 = value_of("--cc=")) {
-      const Status status = cc::ParseEngineName(v7, &options->cc_protocol);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return status;
-      }
-      options->cc = v7;
+      Status status = ParseName(proto::Engines(), v7, &options->cc);
+      if (!status.ok()) return status;
     } else if (const char* v8 = value_of("--commit=")) {
-      const Status status =
-          proto::ParseCommitPathName(v8, &options->commit_path);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return status;
-      }
-      options->commit = v8;
+      Status status = ParseName(proto::CommitPaths(), v8, &options->commit);
+      if (!status.ok()) return status;
     } else if (const char* v9 = value_of("--lease=")) {
-      const Status status =
-          lease::ParseLeaseModeName(v9, &options->lease_options.mode);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return status;
-      }
-      options->lease = v9;
+      Status status = ParseName(lease::LeaseModes(), v9, &options->lease);
+      if (!status.ok()) return status;
     } else if (const char* v10 = value_of("--lease-ttl=")) {
       if (!ParseInt64Value(v10, &value) || value < 0) {
         return Status::InvalidArgument("bad --lease-ttl");
       }
-      options->lease_options.ttl = value;
+      options->lease_ttl = value;
     } else if (const char* v11 = value_of("--lease-max-held=")) {
       if (!ParseInt64Value(v11, &value) || value < 0 ||
           value > INT32_MAX) {
         return Status::InvalidArgument("bad --lease-max-held");
       }
-      options->lease_options.max_held = static_cast<int32_t>(value);
+      options->lease_max_held = static_cast<int32_t>(value);
     } else if (const char* v12 = value_of("--sim-threads=")) {
       if (!ParseInt64Value(v12, &value) || value < 1 || value > 256) {
         return Status::InvalidArgument(
@@ -133,9 +133,9 @@ Status ParseCli(int argc, char** argv, CliOptions* options) {
                    "[--lease-ttl=N] [--lease-max-held=N] [--sim-threads=N] "
                    "[--full] [--quick] [--smoke] [--csv=PATH]\n  engines: %s\n"
                    "  commit paths: %s\n  lease modes: %s\n",
-                   argv[0], cc::EngineNames().c_str(),
-                   proto::CommitPathNames().c_str(),
-                   lease::LeaseModeNames().c_str());
+                   argv[0], proto::Engines().Names().c_str(),
+                   proto::CommitPaths().Names().c_str(),
+                   lease::LeaseModes().Names().c_str());
       return Status::InvalidArgument("help requested");
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());

@@ -1,6 +1,7 @@
 #ifndef GTPL_HARNESS_CLI_H_
 #define GTPL_HARNESS_CLI_H_
 
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -38,21 +39,19 @@ struct CliOptions {
   ExperimentScale scale;
   std::string csv_path;
   int jobs = 0;  // 0 = auto (GTPL_JOBS env, else hardware threads)
-  /// Registered engine name from --cc, empty when the flag was not given
-  /// (benches then sweep their default engine set); `cc_protocol` is
-  /// meaningful only when `cc` is non-empty.
-  std::string cc;
-  proto::Protocol cc_protocol = proto::Protocol::kS2pl;
-  /// Commit-path name from --commit, empty when the flag was not given
-  /// (benches then sweep their default variant set or run kClassic).
-  std::string commit;
-  proto::CommitPath commit_path = proto::CommitPath::kClassic;
-  /// Lease-mode name from --lease, empty when the flag was not given
-  /// (benches then sweep their default lease set or run kNone). The ttl
-  /// and max_held knobs in `lease_options` apply whenever the bench honors
-  /// leases, independent of whether --lease itself was passed.
-  std::string lease;
-  lease::LeaseOptions lease_options;
+  /// Engine from --cc, unset when the flag was not given (benches then
+  /// sweep their default engine set).
+  std::optional<proto::Protocol> cc;
+  /// Commit path from --commit, unset when the flag was not given (benches
+  /// then sweep their default variant set or run kClassic).
+  std::optional<proto::CommitPath> commit;
+  /// Lease mode from --lease, unset when the flag was not given (benches
+  /// then sweep their default lease set or run kNone).
+  std::optional<lease::LeaseMode> lease;
+  /// --lease-ttl and --lease-max-held (lease::LeaseOptions): they apply
+  /// whenever the bench honors leases, whether or not --lease was passed.
+  SimTime lease_ttl = 0;
+  int32_t lease_max_held = 0;
   /// Intra-run worker threads from --sim-threads (SimConfig::sim_threads):
   /// 1 = the legacy serial engine, N > 1 = the parallel per-shard engine.
   int32_t sim_threads = 1;

@@ -1,64 +1,23 @@
 #include "lease/lease.h"
 
-#include "common/check.h"
-
 namespace gtpl::lease {
+namespace {
 
-const char* ToString(LeaseMode mode) {
-  switch (mode) {
-    case LeaseMode::kNone:
-      return "none";
-    case LeaseMode::kSticky:
-      return "sticky";
-  }
-  return "?";
-}
+constexpr LeaseModeInfo kLeaseModes[] = {
+    {"none", "leases disabled: every lock acquisition pays the WAN round",
+     LeaseMode::kNone},
+    {"sticky",
+     "sticky site leases with callback revocation: repeat acquisitions "
+     "hit the client cache for zero flights",
+     LeaseMode::kSticky},
+};
 
-const std::vector<LeaseModeInfo>& LeaseModes() {
-  static const std::vector<LeaseModeInfo>* kModes =
-      new std::vector<LeaseModeInfo>{
-          {"none", "leases disabled: every lock acquisition pays the WAN round",
-           LeaseMode::kNone},
-          {"sticky",
-           "sticky site leases with callback revocation: repeat acquisitions "
-           "hit the client cache for zero flights",
-           LeaseMode::kSticky},
-      };
-  return *kModes;
-}
+constexpr NameTable<LeaseModeInfo> kLeaseModeTable("lease mode", kLeaseModes);
 
-const LeaseModeInfo* FindLeaseMode(const std::string& name) {
-  for (const LeaseModeInfo& info : LeaseModes()) {
-    if (name == info.name) return &info;
-  }
-  return nullptr;
-}
+}  // namespace
 
-const LeaseModeInfo& LeaseModeFor(LeaseMode mode) {
-  for (const LeaseModeInfo& info : LeaseModes()) {
-    if (info.mode == mode) return info;
-  }
-  GTPL_CHECK(false);  // every LeaseMode value is registered
-  return LeaseModes().front();
-}
+const char* ToString(LeaseMode mode) { return kLeaseModeTable.For(mode).name; }
 
-std::string LeaseModeNames() {
-  std::string out;
-  for (const LeaseModeInfo& info : LeaseModes()) {
-    if (!out.empty()) out += ", ";
-    out += info.name;
-  }
-  return out;
-}
-
-Status ParseLeaseModeName(const std::string& name, LeaseMode* mode) {
-  const LeaseModeInfo* info = FindLeaseMode(name);
-  if (info == nullptr) {
-    return Status::InvalidArgument("unknown lease mode '" + name +
-                                   "' (registered: " + LeaseModeNames() + ")");
-  }
-  *mode = info->mode;
-  return Status::Ok();
-}
+const NameTable<LeaseModeInfo>& LeaseModes() { return kLeaseModeTable; }
 
 }  // namespace gtpl::lease

@@ -2,10 +2,8 @@
 #define GTPL_LEASE_LEASE_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "common/status.h"
+#include "common/name_table.h"
 #include "common/types.h"
 
 namespace gtpl::lease {
@@ -27,7 +25,13 @@ enum class LeaseMode {
   kSticky = 1,
 };
 
+/// Registry key of `mode` (LeaseModes().For(mode).name).
 const char* ToString(LeaseMode mode);
+
+using LeaseModeInfo = NamedValue<LeaseMode>;
+
+/// Every lease mode under its --lease=<name>, in presentation order.
+const NameTable<LeaseModeInfo>& LeaseModes();
 
 /// Per-run lease knobs, carried inside SimConfig.
 struct LeaseOptions {
@@ -40,32 +44,6 @@ struct LeaseOptions {
   /// entries are evicted least-recently-used with a voluntary release.
   int32_t max_held = 0;
 };
-
-/// One registered lease mode, mirroring cc::EngineInfo / CommitPathInfo:
-/// the registry is the single place mapping LeaseMode values to string
-/// names (--lease=<name>) and one-line summaries.
-struct LeaseModeInfo {
-  const char* name;     // registry key, e.g. "sticky"
-  const char* summary;  // one-liner for --help and error listings
-  LeaseMode mode;
-};
-
-/// All registered lease modes, in presentation order.
-const std::vector<LeaseModeInfo>& LeaseModes();
-
-/// Lease mode registered under `name`, or nullptr.
-const LeaseModeInfo* FindLeaseMode(const std::string& name);
-
-/// Registry entry of `mode` (every LeaseMode value has exactly one).
-const LeaseModeInfo& LeaseModeFor(LeaseMode mode);
-
-/// Comma-separated registered names, for error messages and usage text.
-std::string LeaseModeNames();
-
-/// Resolves `name` to its LeaseMode, or InvalidArgument listing the
-/// registered names (the CLI strict-parsing convention, like
-/// cc::ParseEngineName).
-Status ParseLeaseModeName(const std::string& name, LeaseMode* mode);
 
 }  // namespace gtpl::lease
 

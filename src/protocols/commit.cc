@@ -1,76 +1,29 @@
 #include "protocols/commit.h"
 
-#include "common/check.h"
-
 namespace gtpl::proto {
+namespace {
+
+constexpr CommitPathInfo kCommitPaths[] = {
+    {"classic", "client-coordinated 2PC, parallel prepare fan-out (default)",
+     CommitPath::kClassic},
+    {"early", "speculative prepare piggybacked on each shard's last operation",
+     CommitPath::kEarly},
+    {"fastpath", "one-round commit for single-write-shard transactions",
+     CommitPath::kFastPath},
+    {"coord", "per-txn coordinator placement: client vs write-heaviest server",
+     CommitPath::kCoord},
+};
+
+constexpr NameTable<CommitPathInfo> kCommitPathTable("commit path",
+                                                     kCommitPaths);
+
+}  // namespace
 
 const char* ToString(CommitPath path) {
-  switch (path) {
-    case CommitPath::kClassic:
-      return "classic";
-    case CommitPath::kEarly:
-      return "early";
-    case CommitPath::kFastPath:
-      return "fastpath";
-    case CommitPath::kCoord:
-      return "coord";
-  }
-  return "unknown";
+  return kCommitPathTable.For(path).name;
 }
 
-const std::vector<CommitPathInfo>& CommitPaths() {
-  static const std::vector<CommitPathInfo>* paths =
-      new std::vector<CommitPathInfo>{
-          {"classic",
-           "client-coordinated 2PC, parallel prepare fan-out (default)",
-           CommitPath::kClassic},
-          {"early",
-           "speculative prepare piggybacked on each shard's last operation",
-           CommitPath::kEarly},
-          {"fastpath",
-           "one-round commit for single-write-shard transactions",
-           CommitPath::kFastPath},
-          {"coord",
-           "per-txn coordinator placement: client vs write-heaviest server",
-           CommitPath::kCoord},
-      };
-  return *paths;
-}
-
-const CommitPathInfo* FindCommitPath(const std::string& name) {
-  for (const CommitPathInfo& info : CommitPaths()) {
-    if (name == info.name) return &info;
-  }
-  return nullptr;
-}
-
-const CommitPathInfo& CommitPathFor(CommitPath path) {
-  for (const CommitPathInfo& info : CommitPaths()) {
-    if (info.path == path) return info;
-  }
-  GTPL_CHECK(false) << "commit path without a registry entry";
-  return CommitPaths().front();
-}
-
-std::string CommitPathNames() {
-  std::string names;
-  for (const CommitPathInfo& info : CommitPaths()) {
-    if (!names.empty()) names += ", ";
-    names += info.name;
-  }
-  return names;
-}
-
-Status ParseCommitPathName(const std::string& name, CommitPath* path) {
-  const CommitPathInfo* info = FindCommitPath(name);
-  if (info == nullptr) {
-    return Status::InvalidArgument("unknown commit path '" + name +
-                                   "' (registered: " + CommitPathNames() +
-                                   ")");
-  }
-  *path = info->path;
-  return Status::Ok();
-}
+const NameTable<CommitPathInfo>& CommitPaths() { return kCommitPathTable; }
 
 int32_t ExpectedCommitFlights(CommitPath path, bool single_write_shard,
                               bool remote_coordinator) {

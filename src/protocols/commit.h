@@ -2,10 +2,8 @@
 #define GTPL_PROTOCOLS_COMMIT_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "common/status.h"
+#include "common/name_table.h"
 
 namespace gtpl::proto {
 
@@ -44,33 +42,13 @@ enum class CommitPath {
   kCoord = 3,
 };
 
+/// Registry key of `path` (CommitPaths().For(path).name).
 const char* ToString(CommitPath path);
 
-/// One registered commit-path variant, mirroring cc::EngineInfo: the
-/// registry is the single place mapping CommitPath values to string names
-/// (--commit=<name>) and one-line summaries.
-struct CommitPathInfo {
-  const char* name;     // registry key, e.g. "fastpath"
-  const char* summary;  // one-liner for --help and error listings
-  CommitPath path;
-};
+using CommitPathInfo = NamedValue<CommitPath>;
 
-/// All registered commit paths, in presentation order.
-const std::vector<CommitPathInfo>& CommitPaths();
-
-/// Commit path registered under `name`, or nullptr.
-const CommitPathInfo* FindCommitPath(const std::string& name);
-
-/// Registry entry of `path` (every CommitPath value has exactly one).
-const CommitPathInfo& CommitPathFor(CommitPath path);
-
-/// Comma-separated registered names, for error messages and usage text.
-std::string CommitPathNames();
-
-/// Resolves `name` to its CommitPath, or InvalidArgument listing the
-/// registered names (the CLI strict-parsing convention, like
-/// cc::ParseEngineName).
-Status ParseCommitPathName(const std::string& name, CommitPath* path);
+/// Every commit path under its --commit=<name>, in presentation order.
+const NameTable<CommitPathInfo>& CommitPaths();
 
 /// Blocking one-way WAN flights a *cross-server* commit pays in its commit
 /// phase under the paper's pure-propagation model (the round-count table of

@@ -1,31 +1,46 @@
 #include "protocols/config.h"
 
+#include <string>
+
 namespace gtpl::proto {
+namespace {
+
+constexpr EngineInfo kEngines[] = {
+    {"s2pl", "strict 2PL, waits-for deadlock detection (paper baseline)",
+     Protocol::kS2pl, "s-2PL", kAnyCommitPath | kStickyLease},
+    {"g2pl", "group 2PL with forward lists (paper contribution)",
+     Protocol::kG2pl, "g-2PL", kAnyCommitPath},
+    {"c2pl", "caching 2PL: s-2PL locking plus a client data cache",
+     Protocol::kC2pl, "c-2PL", 0},
+    {"cbl", "callback locking", Protocol::kCbl, "CBL", 0},
+    {"o2pl", "optimistic 2PL: OCC certification plus a client cache",
+     Protocol::kO2pl, "O2PL", 0},
+    {"nowait", "no-wait 2PL: blocked requests abort the requester",
+     Protocol::kNoWait, "nw-2PL", kAnyCommitPath | kStickyLease | kParallel},
+    {"waitdie", "wait-die 2PL: wait for younger only, die on older",
+     Protocol::kWaitDie, "wd-2PL", kAnyCommitPath | kStickyLease | kParallel},
+    {"woundwait", "wound-wait 2PL: wound younger blockers, wait on older",
+     Protocol::kWoundWait, "ww-2PL", kAnyCommitPath | kStickyLease},
+    {"occ", "optimistic CC, backward validation at commit", Protocol::kOcc,
+     "OCC", kAnyCommitPath},
+    {"ordered", "ordered 2PL: in-order acquisition, release at prepare",
+     Protocol::kOrdered, "or-2PL", kAnyCommitPath | kStickyLease},
+};
+
+constexpr NameTable<EngineInfo> kEngineTable("engine", kEngines);
+
+/// Comma-separated names of the engines with `cap`, for error messages.
+std::string EnginesWith(EngineCapability cap) {
+  return kEngineTable.Names(
+      [cap](const EngineInfo& info) { return info.Has(cap); });
+}
+
+}  // namespace
+
+const NameTable<EngineInfo>& Engines() { return kEngineTable; }
 
 const char* ToString(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kS2pl:
-      return "s-2PL";
-    case Protocol::kG2pl:
-      return "g-2PL";
-    case Protocol::kC2pl:
-      return "c-2PL";
-    case Protocol::kCbl:
-      return "CBL";
-    case Protocol::kO2pl:
-      return "O2PL";
-    case Protocol::kNoWait:
-      return "nw-2PL";
-    case Protocol::kWaitDie:
-      return "wd-2PL";
-    case Protocol::kOcc:
-      return "OCC";
-    case Protocol::kOrdered:
-      return "or-2PL";
-    case Protocol::kWoundWait:
-      return "ww-2PL";
-  }
-  return "unknown";
+  return kEngineTable.For(protocol).label;
 }
 
 const char* ToString(ShardRouting routing) {
@@ -48,19 +63,16 @@ Status SimConfig::Validate() const {
   if (num_servers > workload.num_items) {
     return Status::InvalidArgument("num_servers must be <= num_items");
   }
+  const EngineInfo& engine = kEngineTable.For(protocol);
   if (num_servers > 1 && commit_path != CommitPath::kClassic &&
-      (protocol == Protocol::kC2pl || protocol == Protocol::kCbl ||
-       protocol == Protocol::kO2pl)) {
+      !engine.Has(kAnyCommitPath)) {
     return Status::InvalidArgument(
         "the caching protocols support only the classic commit path");
   }
-  if (lease.mode == lease::LeaseMode::kSticky &&
-      protocol != Protocol::kS2pl && protocol != Protocol::kNoWait &&
-      protocol != Protocol::kWaitDie && protocol != Protocol::kOrdered &&
-      protocol != Protocol::kWoundWait) {
+  if (lease.mode == lease::LeaseMode::kSticky && !engine.Has(kStickyLease)) {
     return Status::InvalidArgument(
-        "lease=sticky requires a lock-table engine "
-        "(s2pl, nowait, waitdie, woundwait, ordered)");
+        "lease=sticky requires a lock-table engine (" +
+        EnginesWith(kStickyLease) + ")");
   }
   if (lease.ttl < 0) {
     return Status::InvalidArgument("lease ttl must be >= 0 (0 = infinite)");
@@ -168,11 +180,12 @@ Status SimConfig::Validate() const {
     // The parallel engine covers the decomposable subset: every coupling
     // between shards must ride a message with >= one latency of delay
     // (the lookahead), or conservative windows have no safe width.
-    if (protocol != Protocol::kNoWait && protocol != Protocol::kWaitDie) {
+    if (!engine.Has(kParallel)) {
       return Status::InvalidArgument(
-          "sim_threads > 1 supports the requester-victim engines only "
-          "(nowait, waitdie); other protocols consult instantaneous "
-          "cross-shard state (global graphs, wounds, caches)");
+          "sim_threads > 1 supports the requester-victim engines only (" +
+          EnginesWith(kParallel) +
+          "); other protocols consult instantaneous cross-shard state "
+          "(global graphs, wounds, caches)");
     }
     if (commit_path != CommitPath::kClassic) {
       return Status::InvalidArgument(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/name_table.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/window_manager.h"
@@ -13,9 +14,10 @@
 
 namespace gtpl::proto {
 
-/// Concurrency-control protocol run by the data-server system. The cc
-/// registry (cc/registry.h) maps protocols to engine factories and string
-/// names; add new engines there.
+/// Concurrency-control protocol run by the data-server system: the key of
+/// the engine table (Engines() below), which is the one place that
+/// describes an engine. cc::MakeEngine (cc/registry.cc) builds each one;
+/// a new engine adds an enumerator, a table row and a factory case.
 enum class Protocol {
   kS2pl = 0,     // server-based strict 2PL (paper baseline)
   kG2pl = 1,     // group 2PL (paper contribution)
@@ -29,6 +31,36 @@ enum class Protocol {
   kWoundWait = 9,  // wound-wait 2PL: wound younger blockers, wait on older
 };
 
+/// What an engine supports beyond the base run (serial engine, classic
+/// commit path, no leases). SimConfig::Validate() reads these bits; it
+/// lists no protocols.
+enum EngineCapability : uint8_t {
+  /// Takes every commit path when sharded. The client-cache engines take
+  /// only the classic one.
+  kAnyCommitPath = 1 << 0,
+  /// Takes lease=sticky: a lock-table engine whose grants can become site
+  /// leases (DESIGN.md §14).
+  kStickyLease = 1 << 1,
+  /// Runs under sim_threads > 1: a requester-victim engine whose shards
+  /// couple only through messages (DESIGN.md §15).
+  kParallel = 1 << 2,
+};
+
+/// One row of the engine table.
+struct EngineInfo {
+  const char* name;     // registry key (--cc / --protocol), e.g. "waitdie"
+  const char* summary;  // one-liner for --help and error listings
+  Protocol value;
+  const char* label;    // display label in result tables, e.g. "wd-2PL"
+  uint8_t caps;         // EngineCapability bits
+
+  bool Has(EngineCapability cap) const { return (caps & cap) != 0; }
+};
+
+/// Every engine, in presentation order (--help, bench_ext_cczoo).
+const NameTable<EngineInfo>& Engines();
+
+/// Display label of `protocol` (Engines().For(protocol).label).
 const char* ToString(Protocol protocol);
 
 /// How a sharded server group partitions the item space (extension; the

@@ -2,10 +2,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "protocols/engine.h"
 
 namespace gtpl::proto {
@@ -147,6 +152,69 @@ TEST(CachingTest, O2plSingleShardCommitForcesTheClientLog) {
     EXPECT_NEAR(forced.response.mean() - undelayed.response.mean(), 40.0,
                 1e-9);
   }
+}
+
+TEST(CachingTest, O2plCrossServerCommitterStaysACopyHolder) {
+  // A cross-server O2PL commit installs its writes when the decisions land,
+  // after the client has finalized the commit and cached what it wrote.
+  // The committer must be recorded there as the one copy holder: its own
+  // install sends it no invalidate, and the item's next install by another
+  // client does.
+  SimConfig config = BaseConfig(Protocol::kO2pl);
+  config.num_servers = 4;
+  config.latency = 50;
+  config.warmup_txns = 0;
+  config.record_history = true;
+  config.obs_trace = true;
+  const RunResult result = RunSimulation(config);
+  ASSERT_FALSE(result.timed_out);
+  // The sites each transaction's installs invalidated: the sends that
+  // directly follow its decisions.
+  const std::vector<obs::TraceEvent>& events = result.obs_trace;
+  std::unordered_map<TxnId, std::set<SiteId>> invalidated;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind != obs::EventKind::kDecide) continue;
+    std::set<SiteId>& peers = invalidated[events[i].txn];
+    for (size_t j = i + 1; j < events.size() &&
+                           events[j].kind == obs::EventKind::kMsgSend &&
+                           events[j].label == "invalidate";
+         ++j) {
+      peers.insert(events[j].peer);
+    }
+  }
+  // A committer is never invalidated by its own install.
+  for (const CommittedTxn& txn : result.history) {
+    auto own = invalidated.find(txn.id);
+    if (own != invalidated.end()) {
+      EXPECT_EQ(own->second.count(txn.client), 0u) << "txn " << txn.id;
+    }
+  }
+  // Each item's committed writers in install (version) order.
+  std::map<ItemId, std::map<Version, const CommittedTxn*>> writers;
+  for (const CommittedTxn& txn : result.history) {
+    for (const OpRecord& op : txn.ops) {
+      if (op.mode == LockMode::kExclusive) {
+        writers[op.item][op.version_written] = &txn;
+      }
+    }
+  }
+  int checked = 0;
+  for (const auto& [item, by_version] : writers) {
+    const CommittedTxn* previous = nullptr;
+    for (const auto& [version, txn] : by_version) {
+      auto next = invalidated.find(txn->id);
+      if (previous != nullptr && previous->commit_flights >= 0 &&
+          previous->client != txn->client && next != invalidated.end()) {
+        EXPECT_EQ(next->second.count(previous->client), 1u)
+            << "item " << item << " version " << version << ": txn "
+            << txn->id << " left site " << previous->client
+            << "'s copy valid";
+        ++checked;
+      }
+      previous = txn;
+    }
+  }
+  EXPECT_GT(checked, 50);
 }
 
 TEST(CachingTest, CblSingleClientReadsBecomeLocal) {

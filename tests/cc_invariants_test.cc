@@ -14,13 +14,15 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "protocols/engine.h"
 #include "protocols/invariants.h"
 #include "rng/rng.h"
 
 namespace gtpl::cc {
 namespace {
+
+using proto::EngineInfo;
+using proto::Engines;
 
 proto::SimConfig RandomConfig(proto::Protocol protocol, uint64_t seed) {
   rng::Rng rng(seed * 7919 + 13);
@@ -59,7 +61,7 @@ TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
   for (const EngineInfo& info : Engines()) {
     for (uint64_t seed = 1; seed <= 2; ++seed) {
       for (int32_t servers : {1, 2, 3, 5, 8}) {
-        proto::SimConfig config = RandomConfig(info.protocol, seed);
+        proto::SimConfig config = RandomConfig(info.value, seed);
         config.num_servers = servers;
         SCOPED_TRACE(std::string(info.name) + " seed " + std::to_string(seed) +
                      " servers " + std::to_string(servers));
@@ -77,9 +79,9 @@ TEST(CcInvariantsTest, EveryEngineStaysSerializableAcrossShardCounts) {
 TEST(CcInvariantsTest, NewEnginesRunTwoPhaseCommitRounds) {
   for (const char* name : {"nowait", "waitdie", "woundwait", "occ", "ordered",
                            "c2pl", "cbl", "o2pl"}) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = RandomConfig(info->protocol, 31);
+    proto::SimConfig config = RandomConfig(info->value, 31);
     config.num_servers = 4;
     const proto::RunResult result = proto::RunSimulation(config);
     ASSERT_FALSE(result.timed_out) << name;
@@ -123,10 +125,10 @@ proto::SimConfig ContendedConfig(proto::Protocol protocol) {
 // 2PC path with release-at-prepare. (No-wait under the same workload keeps
 // restarting on every conflict; that contrast is the A16 ablation.)
 TEST(CcInvariantsTest, OrderedPolicyIsAbortFreeUnderSortedAccess) {
-  const EngineInfo* ordered = FindEngine("ordered");
+  const EngineInfo* ordered = Engines().Find("ordered");
   ASSERT_NE(ordered, nullptr);
   for (int32_t servers : {1, 4}) {
-    proto::SimConfig config = ContendedConfig(ordered->protocol);
+    proto::SimConfig config = ContendedConfig(ordered->value);
     config.workload.sorted_access = true;
     config.num_servers = servers;
     SCOPED_TRACE("servers " + std::to_string(servers));
@@ -141,9 +143,9 @@ TEST(CcInvariantsTest, OrderedPolicyIsAbortFreeUnderSortedAccess) {
 // detection-based s-2PL resolves almost everything by waiting.
 TEST(CcInvariantsTest, RestartPoliciesAbortUnderContention) {
   for (const char* name : {"nowait", "waitdie", "woundwait", "occ"}) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = ContendedConfig(info->protocol);
+    proto::SimConfig config = ContendedConfig(info->value);
     const proto::RunResult result = CheckRun(config);
     EXPECT_GT(result.commits, 0) << name;
     EXPECT_GT(result.total_aborts, 0) << name;
@@ -155,9 +157,9 @@ TEST(CcInvariantsTest, RestartPoliciesAbortUnderContention) {
 TEST(CcInvariantsTest, NewEnginesAreDeterministic) {
   for (const char* name : {"nowait", "waitdie", "woundwait", "occ", "ordered",
                            "c2pl", "cbl", "o2pl"}) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = RandomConfig(info->protocol, 5);
+    proto::SimConfig config = RandomConfig(info->value, 5);
     config.num_servers = 3;
     const proto::RunResult a = proto::RunSimulation(config);
     const proto::RunResult b = proto::RunSimulation(config);

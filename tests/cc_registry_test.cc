@@ -1,9 +1,9 @@
-// The cc registry (ISSUE 6) is the single mapping from engine names to
-// protocol enum values and factories; these tests pin its contract: names
-// are unique and round-trip through FindEngine, every Protocol value
-// resolves to exactly one engine, unknown names fail strictly (listing the
-// registered engines, the CLI convention), the --cc/--smoke flags parse,
-// and every factory actually produces a runnable engine.
+// The engine table (protocols/config.h) is the single mapping from engine
+// names to protocol enum values, and cc::MakeEngine the single factory;
+// these tests pin their contract: names are unique and round-trip through
+// Find, every Protocol value resolves to exactly one engine, unknown names
+// fail strictly (listing the registered engines, the CLI convention), the
+// --cc/--smoke flags parse, and every engine the table names runs.
 
 #include <set>
 #include <string>
@@ -19,18 +19,21 @@
 namespace gtpl::cc {
 namespace {
 
+using proto::EngineInfo;
+using proto::Engines;
+
 TEST(CcRegistryTest, NamesAreUniqueAndRoundTripThroughFindEngine) {
   std::set<std::string> seen;
   for (const EngineInfo& info : Engines()) {
     EXPECT_TRUE(seen.insert(info.name).second)
         << "duplicate engine name " << info.name;
-    const EngineInfo* found = FindEngine(info.name);
+    const EngineInfo* found = Engines().Find(info.name);
     ASSERT_NE(found, nullptr) << info.name;
     EXPECT_EQ(found, &info) << info.name;
     EXPECT_NE(std::string(info.summary), "") << info.name;
   }
-  EXPECT_EQ(FindEngine("bogus"), nullptr);
-  EXPECT_EQ(FindEngine(""), nullptr);
+  EXPECT_EQ(Engines().Find("bogus"), nullptr);
+  EXPECT_EQ(Engines().Find(""), nullptr);
 }
 
 TEST(CcRegistryTest, EveryProtocolValueHasExactlyOneEngine) {
@@ -43,9 +46,9 @@ TEST(CcRegistryTest, EveryProtocolValueHasExactlyOneEngine) {
   EXPECT_EQ(all.size(), Engines().size());
   std::set<proto::Protocol> protocols;
   for (const EngineInfo& info : Engines()) {
-    EXPECT_TRUE(protocols.insert(info.protocol).second)
+    EXPECT_TRUE(protocols.insert(info.value).second)
         << "duplicate protocol mapping for " << info.name;
-    EXPECT_EQ(EngineFor(info.protocol).name, std::string(info.name));
+    EXPECT_EQ(Engines().For(info.value).name, std::string(info.name));
   }
   for (proto::Protocol protocol : all) {
     EXPECT_EQ(protocols.count(protocol), 1u)
@@ -54,7 +57,7 @@ TEST(CcRegistryTest, EveryProtocolValueHasExactlyOneEngine) {
 }
 
 TEST(CcRegistryTest, EngineNamesListsEveryRegisteredName) {
-  const std::string names = EngineNames();
+  const std::string names = Engines().Names();
   for (const EngineInfo& info : Engines()) {
     EXPECT_NE(names.find(info.name), std::string::npos) << info.name;
   }
@@ -62,13 +65,13 @@ TEST(CcRegistryTest, EngineNamesListsEveryRegisteredName) {
 
 TEST(CcRegistryTest, ParseEngineNameResolvesAndFailsStrictly) {
   proto::Protocol protocol = proto::Protocol::kS2pl;
-  ASSERT_TRUE(ParseEngineName("waitdie", &protocol).ok());
+  ASSERT_TRUE(Engines().Parse("waitdie", &protocol).ok());
   EXPECT_EQ(protocol, proto::Protocol::kWaitDie);
-  ASSERT_TRUE(ParseEngineName("g2pl", &protocol).ok());
+  ASSERT_TRUE(Engines().Parse("g2pl", &protocol).ok());
   EXPECT_EQ(protocol, proto::Protocol::kG2pl);
 
   protocol = proto::Protocol::kS2pl;
-  const Status status = ParseEngineName("bogus", &protocol);
+  const Status status = Engines().Parse("bogus", &protocol);
   EXPECT_FALSE(status.ok());
   // The error message must name the offender and list the registry, so a
   // typo in a sweep script is self-explaining.
@@ -86,14 +89,13 @@ TEST(CcRegistryTest, CliCcFlagSetsEngineAndRejectsUnknownNames) {
   char cc[] = "--cc=occ";
   char* argv[] = {prog, cc};
   ASSERT_TRUE(harness::ParseCli(2, argv, &options).ok());
-  EXPECT_EQ(options.cc, "occ");
-  EXPECT_EQ(options.cc_protocol, proto::Protocol::kOcc);
+  EXPECT_EQ(options.cc, proto::Protocol::kOcc);
 
   harness::CliOptions bad_options;
   char bad[] = "--cc=bogus";
   char* argv2[] = {prog, bad};
   EXPECT_FALSE(harness::ParseCli(2, argv2, &bad_options).ok());
-  EXPECT_TRUE(bad_options.cc.empty());
+  EXPECT_FALSE(bad_options.cc.has_value());
 
   harness::CliOptions empty_options;
   char empty[] = "--cc=";
@@ -112,13 +114,13 @@ TEST(CcRegistryTest, CliSmokePresetUsesCiScale) {
   EXPECT_EQ(options.scale.runs, 1);
 }
 
-// Every factory must produce an engine that runs the standard lifecycle to
-// completion on a small workload — this is what guards a registry entry
-// whose `make` was never wired up.
+// Every engine in the table must build and run the standard lifecycle to
+// completion on a small workload — this is what guards a table row whose
+// factory case builds the wrong engine or none.
 TEST(CcRegistryTest, EveryFactoryProducesARunnableEngine) {
   for (const EngineInfo& info : Engines()) {
     proto::SimConfig config;
-    config.protocol = info.protocol;
+    config.protocol = info.value;
     config.num_clients = 6;
     config.latency = 5;
     config.workload.num_items = 12;
@@ -127,7 +129,7 @@ TEST(CcRegistryTest, EveryFactoryProducesARunnableEngine) {
     config.seed = 3;
     config.max_sim_time = 2'000'000'000;
     SCOPED_TRACE(info.name);
-    const proto::RunResult result = info.make(config)->Run();
+    const proto::RunResult result = MakeEngine(config)->Run();
     EXPECT_FALSE(result.timed_out);
     EXPECT_GT(result.commits, 0);
   }

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "protocols/commit.h"
 #include "protocols/engine.h"
 
@@ -68,12 +67,12 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b,
 // anything to change: every run must be bit-identical to classic, down to
 // the event count and the per-transaction commit times.
 TEST(CommitEquivalenceTest, EveryVariantInertOnSingleServer) {
-  for (const cc::EngineInfo& info : cc::Engines()) {
-    const RunResult classic = RunSimulation(BaseConfig(info.protocol, 1));
+  for (const EngineInfo& info : Engines()) {
+    const RunResult classic = RunSimulation(BaseConfig(info.value, 1));
     for (const CommitPathInfo& path : CommitPaths()) {
-      if (path.path == CommitPath::kClassic) continue;
-      SimConfig config = BaseConfig(info.protocol, 1);
-      config.commit_path = path.path;
+      if (path.value == CommitPath::kClassic) continue;
+      SimConfig config = BaseConfig(info.value, 1);
+      config.commit_path = path.value;
       const RunResult variant = RunSimulation(config);
       ExpectIdenticalRuns(classic, variant,
                           std::string(info.name) + " x " + path.name);
@@ -89,15 +88,12 @@ TEST(CommitEquivalenceTest, EveryVariantInertOnSingleServer) {
 // 0), so kCoord must take the classic path for every single transaction —
 // not statistically close: the same run, event for event.
 TEST(CommitEquivalenceTest, CoordIsExactlyClassicUnderUniformLatency) {
-  for (const cc::EngineInfo& info : cc::Engines()) {
+  for (const EngineInfo& info : Engines()) {
     // The caching engines only admit the classic path under sharding
     // (Validate() rejects kCoord for them), so there is nothing to compare.
-    if (info.protocol == Protocol::kC2pl || info.protocol == Protocol::kCbl ||
-        info.protocol == Protocol::kO2pl) {
-      continue;
-    }
-    const RunResult classic = RunSimulation(BaseConfig(info.protocol, 4));
-    SimConfig config = BaseConfig(info.protocol, 4);
+    if (!info.Has(kAnyCommitPath)) continue;
+    const RunResult classic = RunSimulation(BaseConfig(info.value, 4));
+    SimConfig config = BaseConfig(info.value, 4);
     config.commit_path = CommitPath::kCoord;
     const RunResult coord = RunSimulation(config);
     ExpectIdenticalRuns(classic, coord, std::string(info.name) + " coord");

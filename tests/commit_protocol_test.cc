@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "protocols/commit.h"
 #include "protocols/engine.h"
 #include "protocols/invariants.h"
@@ -28,35 +27,31 @@ namespace {
 // --- Registry -------------------------------------------------------------
 
 TEST(CommitRegistryTest, RegistersAllFourVariants) {
-  const std::vector<CommitPathInfo>& paths = CommitPaths();
+  const NameTable<CommitPathInfo>& paths = CommitPaths();
   ASSERT_EQ(paths.size(), 4u);
-  EXPECT_STREQ(paths[0].name, "classic");
-  EXPECT_STREQ(paths[1].name, "early");
-  EXPECT_STREQ(paths[2].name, "fastpath");
-  EXPECT_STREQ(paths[3].name, "coord");
+  EXPECT_EQ(paths.Names(), "classic, early, fastpath, coord");
   for (const CommitPathInfo& info : paths) {
-    EXPECT_STREQ(ToString(info.path), info.name);
-    const CommitPathInfo* found = FindCommitPath(info.name);
+    EXPECT_STREQ(ToString(info.value), info.name);
+    const CommitPathInfo* found = paths.Find(info.name);
     ASSERT_NE(found, nullptr) << info.name;
-    EXPECT_EQ(found->path, info.path);
-    EXPECT_EQ(&CommitPathFor(info.path), found);
+    EXPECT_EQ(found->value, info.value);
+    EXPECT_EQ(&paths.For(info.value), found);
     EXPECT_GT(std::string(info.summary).size(), 0u);
   }
-  EXPECT_EQ(FindCommitPath("nope"), nullptr);
-  EXPECT_EQ(CommitPathNames(), "classic, early, fastpath, coord");
+  EXPECT_EQ(paths.Find("nope"), nullptr);
 }
 
 TEST(CommitRegistryTest, ParseAcceptsEveryRegisteredName) {
   for (const CommitPathInfo& info : CommitPaths()) {
     CommitPath path = CommitPath::kClassic;
-    EXPECT_TRUE(ParseCommitPathName(info.name, &path).ok()) << info.name;
-    EXPECT_EQ(path, info.path) << info.name;
+    EXPECT_TRUE(CommitPaths().Parse(info.name, &path).ok()) << info.name;
+    EXPECT_EQ(path, info.value) << info.name;
   }
 }
 
 TEST(CommitRegistryTest, ParseRejectsUnknownNameAndListsRegistry) {
   CommitPath path = CommitPath::kEarly;
-  const Status status = ParseCommitPathName("bogus", &path);
+  const Status status = CommitPaths().Parse("bogus", &path);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("unknown commit path 'bogus'"),
             std::string::npos)
@@ -162,18 +157,16 @@ void CheckCommittedTxns(const RunResult& result, const SimConfig& config,
 }
 
 TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
-  for (const cc::EngineInfo& info : cc::Engines()) {
-    const bool occ_engine = info.protocol == Protocol::kOcc;
-    const bool caching = info.protocol == Protocol::kC2pl ||
-                         info.protocol == Protocol::kCbl ||
-                         info.protocol == Protocol::kO2pl;
+  for (const EngineInfo& info : Engines()) {
+    const bool occ_engine = info.value == Protocol::kOcc;
+    const bool caching = !info.Has(kAnyCommitPath);
     for (const CommitPathInfo& path : CommitPaths()) {
       // The caching engines support only the classic commit path under
       // sharding (Validate() enforces it); the other variants assume the
       // lock-engine commit promise.
-      if (caching && path.path != CommitPath::kClassic) continue;
+      if (caching && path.value != CommitPath::kClassic) continue;
       for (int32_t servers : {1, 2, 4, 8}) {
-        SimConfig config = BatteryConfig(info.protocol, path.path,
+        SimConfig config = BatteryConfig(info.value, path.value,
                                          /*seed=*/servers);
         config.num_servers = servers;
         SCOPED_TRACE(std::string(info.name) + " x " + path.name +
@@ -191,21 +184,21 @@ TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
           if (occ_engine) {
             // OCC's fallback is counted, not silent.
             EXPECT_EQ(result.commit_path_fallbacks,
-                      path.path == CommitPath::kClassic
+                      path.value == CommitPath::kClassic
                           ? 0
                           : result.cross_server_commits);
           } else {
             EXPECT_EQ(result.commit_path_fallbacks, 0);
-            if (path.path == CommitPath::kEarly) {
+            if (path.value == CommitPath::kEarly) {
               EXPECT_GT(result.early_prepares, 0);
             }
-            if (path.path == CommitPath::kFastPath) {
+            if (path.value == CommitPath::kFastPath) {
               EXPECT_EQ(result.fastpath_commits > 0,
                         result.commit_flights.count() > 0 &&
                             result.commit_flights.min() == 0.0);
             }
           }
-          if (path.path != CommitPath::kCoord) {
+          if (path.value != CommitPath::kCoord) {
             EXPECT_EQ(result.coord_remote_commits, 0);
           }
         } else {
@@ -223,7 +216,7 @@ TEST(CommitPathBatteryTest, EveryEngineTimesEveryVariantStaysSerializable) {
 // Determinism: each variant inherits the bit-identical replay guarantee.
 TEST(CommitPathBatteryTest, EveryVariantIsDeterministic) {
   for (const CommitPathInfo& path : CommitPaths()) {
-    SimConfig config = BatteryConfig(Protocol::kS2pl, path.path, /*seed=*/3);
+    SimConfig config = BatteryConfig(Protocol::kS2pl, path.value, /*seed=*/3);
     config.num_servers = 4;
     const RunResult a = RunSimulation(config);
     const RunResult b = RunSimulation(config);

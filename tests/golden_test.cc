@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "protocols/config.h"
@@ -279,7 +278,7 @@ TEST(GoldenTest, CcZooGrid) {
                     point.mean_queueing + point.mean_execution +
                     point.mean_commit_phase,
                 point.response.mean, 1e-6 * point.response.mean + 1e-6);
-    table.AddRow({cc::EngineFor(rows[i].protocol).name,
+    table.AddRow({proto::Engines().For(rows[i].protocol).name,
                   std::to_string(rows[i].latency),
                   std::to_string(rows[i].servers), Fmt(point.response.mean, 3),
                   Fmt(point.abort_pct.mean, 3),
@@ -314,10 +313,10 @@ TEST(GoldenTest, CommitPathGrid) {
         config.protocol = proto::Protocol::kS2pl;
         config.num_servers = 4;
         config.latency = latency;
-        config.commit_path = info.path;
+        config.commit_path = info.value;
         config.workload.read_prob = read_prob;
         points.push_back(config);
-        rows.push_back({info.path, latency, -1, read_prob});
+        rows.push_back({info.value, latency, -1, read_prob});
       }
     }
     // The fast-mesh point: only classic vs coord differ here, but running
@@ -328,10 +327,10 @@ TEST(GoldenTest, CommitPathGrid) {
     mesh.num_servers = 4;
     mesh.latency = 200;
     mesh.server_latency = 20;
-    mesh.commit_path = info.path;
+    mesh.commit_path = info.value;
     mesh.workload.read_prob = 0.5;
     points.push_back(mesh);
-    rows.push_back({info.path, 200, 20, 0.5});
+    rows.push_back({info.value, 200, 20, 0.5});
   }
   const SweepResult sweep = RunSweep(points, /*runs=*/2, /*jobs=*/2);
   Table table({"commit", "latency", "srvlat", "readp", "resp", "abort%",

@@ -217,8 +217,7 @@ TEST(CliTest, ParsesCommitPathFlag) {
     char prog[] = "bench";
     char* argv[] = {prog, arg.data()};
     ASSERT_TRUE(ParseCli(2, argv, &options).ok()) << info.name;
-    EXPECT_EQ(options.commit, info.name);
-    EXPECT_EQ(options.commit_path, info.path) << info.name;
+    EXPECT_EQ(options.commit, info.value) << info.name;
   }
 }
 
@@ -233,7 +232,7 @@ TEST(CliTest, RejectsUnknownCommitPathListingRegistry) {
             std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("classic"), std::string::npos);
-  EXPECT_EQ(options.commit, "");  // nothing applied on failure
+  EXPECT_FALSE(options.commit.has_value());  // nothing applied on failure
   char empty[] = "--commit=";
   char* argv2[] = {prog, empty};
   EXPECT_FALSE(ParseCli(2, argv2, &options).ok());

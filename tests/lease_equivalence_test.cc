@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "lease/lease.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -18,6 +17,9 @@
 
 namespace gtpl::cc {
 namespace {
+
+using proto::EngineInfo;
+using proto::Engines;
 
 const char* const kLeaseEngines[] = {"s2pl", "nowait", "waitdie", "woundwait",
                                      "ordered"};
@@ -61,9 +63,9 @@ void ExpectSameRun(const proto::RunResult& a, const proto::RunResult& b,
 // events, for every lock engine that accepts the lease layer.
 TEST(LeaseEquivalenceTest, NoneModeEmitsNothing) {
   for (const char* name : kLeaseEngines) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = BaseConfig(info->protocol, 11);
+    proto::SimConfig config = BaseConfig(info->value, 11);
     config.lease.mode = lease::LeaseMode::kNone;
     const proto::RunResult result = proto::RunSimulation(config);
     EXPECT_GT(result.commits, 0) << name;
@@ -86,9 +88,9 @@ TEST(LeaseEquivalenceTest, NoneModeEmitsNothing) {
 // leave the run event-for-event identical.
 TEST(LeaseEquivalenceTest, NoneModeKnobsAreInert) {
   for (const char* name : kLeaseEngines) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = BaseConfig(info->protocol, 23);
+    proto::SimConfig config = BaseConfig(info->value, 23);
     config.lease.mode = lease::LeaseMode::kNone;
     const proto::RunResult plain = proto::RunSimulation(config);
     config.lease.ttl = 5000;
@@ -102,9 +104,9 @@ TEST(LeaseEquivalenceTest, NoneModeKnobsAreInert) {
 // the extra Bernoulli draw, so pre-lease seeds replay bit-identically.
 TEST(LeaseEquivalenceTest, ZeroRepeatProbIsInert) {
   for (const char* name : {"s2pl", "g2pl", "occ"}) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = BaseConfig(info->protocol, 31);
+    proto::SimConfig config = BaseConfig(info->value, 31);
     config.workload.repeat_prob = 0.0;
     const proto::RunResult a = proto::RunSimulation(config);
     const proto::RunResult b = proto::RunSimulation(config);
@@ -117,9 +119,9 @@ TEST(LeaseEquivalenceTest, ZeroRepeatProbIsInert) {
 // is granted over the wire at most once, every later acquisition is a
 // cache hit, and not one revoke or release is ever sent.
 TEST(LeaseEquivalenceTest, InfiniteTtlRetainsLeasesForever) {
-  const EngineInfo* info = FindEngine("s2pl");
+  const EngineInfo* info = Engines().Find("s2pl");
   ASSERT_NE(info, nullptr);
-  proto::SimConfig config = BaseConfig(info->protocol, 7);
+  proto::SimConfig config = BaseConfig(info->value, 7);
   config.num_clients = 1;
   config.workload.num_items = 12;
   config.workload.repeat_prob = 0.5;
@@ -145,9 +147,9 @@ TEST(LeaseEquivalenceTest, InfiniteTtlRetainsLeasesForever) {
 // A tiny TTL expires every lease before its next use, so the same workload
 // degenerates to a server round per acquisition: zero hits.
 TEST(LeaseEquivalenceTest, TinyTtlDisablesHits) {
-  const EngineInfo* info = FindEngine("s2pl");
+  const EngineInfo* info = Engines().Find("s2pl");
   ASSERT_NE(info, nullptr);
-  proto::SimConfig config = BaseConfig(info->protocol, 7);
+  proto::SimConfig config = BaseConfig(info->value, 7);
   config.num_clients = 1;
   config.workload.num_items = 12;
   config.workload.repeat_prob = 0.5;
@@ -161,9 +163,9 @@ TEST(LeaseEquivalenceTest, TinyTtlDisablesHits) {
 // max_held bounds the cache: with a one-entry cache the client voluntarily
 // releases on nearly every grant even though nobody ever revokes.
 TEST(LeaseEquivalenceTest, MaxHeldEvictsVoluntarily) {
-  const EngineInfo* info = FindEngine("s2pl");
+  const EngineInfo* info = Engines().Find("s2pl");
   ASSERT_NE(info, nullptr);
-  proto::SimConfig config = BaseConfig(info->protocol, 7);
+  proto::SimConfig config = BaseConfig(info->value, 7);
   config.num_clients = 1;
   config.workload.num_items = 12;
   config.lease.mode = lease::LeaseMode::kSticky;

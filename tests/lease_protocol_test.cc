@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "lease/lease.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -21,6 +20,9 @@
 
 namespace gtpl::cc {
 namespace {
+
+using proto::EngineInfo;
+using proto::Engines;
 
 const char* const kLeaseEngines[] = {"s2pl", "nowait", "waitdie", "woundwait",
                                      "ordered"};
@@ -58,13 +60,13 @@ int64_t CountKind(const std::vector<obs::TraceEvent>& trace,
 // --lease=none, exercised for real under sticky).
 TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
   for (const char* name : kLeaseEngines) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
     for (const lease::LeaseMode mode :
          {lease::LeaseMode::kNone, lease::LeaseMode::kSticky}) {
       for (int32_t servers : {1, 2, 5, 8}) {
         for (uint64_t seed = 1; seed <= 2; ++seed) {
-          proto::SimConfig config = LeaseConfig(info->protocol, seed);
+          proto::SimConfig config = LeaseConfig(info->value, seed);
           config.num_servers = servers;
           config.lease.mode = mode;
           SCOPED_TRACE(std::string(name) + " lease " +
@@ -90,10 +92,10 @@ TEST(LeaseProtocolTest, EveryEngineStaysSerializableUnderLeases) {
 // operation is either a server grant (kLeaseGrant) or a local cache hit.
 TEST(LeaseProtocolTest, CountersMatchTraceExactly) {
   for (const char* name : kLeaseEngines) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
     for (int32_t servers : {1, 3}) {
-      proto::SimConfig config = LeaseConfig(info->protocol, 3);
+      proto::SimConfig config = LeaseConfig(info->value, 3);
       config.num_servers = servers;
       config.lease.mode = lease::LeaseMode::kSticky;
       SCOPED_TRACE(std::string(name) + " servers " + std::to_string(servers));
@@ -120,9 +122,9 @@ TEST(LeaseProtocolTest, CountersMatchTraceExactly) {
 // determinism contract — same seed, same trace, byte for byte.
 TEST(LeaseProtocolTest, StickyRunsAreDeterministic) {
   for (const char* name : kLeaseEngines) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = LeaseConfig(info->protocol, 5);
+    proto::SimConfig config = LeaseConfig(info->value, 5);
     config.num_servers = 3;
     config.lease.mode = lease::LeaseMode::kSticky;
     const proto::RunResult a = proto::RunSimulation(config);
@@ -142,9 +144,9 @@ TEST(LeaseProtocolTest, StickyRunsAreDeterministic) {
 // carved out of, and the span identity (spans sum to the response mean)
 // is already pinned suite-wide by span_accounting_test.
 TEST(LeaseProtocolTest, RevokeWaitSpanStaysInsideLockWait) {
-  const EngineInfo* info = FindEngine("s2pl");
+  const EngineInfo* info = Engines().Find("s2pl");
   ASSERT_NE(info, nullptr);
-  proto::SimConfig config = LeaseConfig(info->protocol, 9);
+  proto::SimConfig config = LeaseConfig(info->value, 9);
   config.lease.mode = lease::LeaseMode::kSticky;
   const proto::RunResult result = proto::RunSimulation(config);
   ASSERT_FALSE(result.timed_out);
@@ -158,9 +160,9 @@ TEST(LeaseProtocolTest, RevokeWaitSpanStaysInsideLockWait) {
 // version-certifying and forward-list engines reject the flag.
 TEST(LeaseProtocolTest, NonLockEnginesRejectSticky) {
   for (const char* name : {"g2pl", "occ", "c2pl", "cbl", "o2pl"}) {
-    const EngineInfo* info = FindEngine(name);
+    const EngineInfo* info = Engines().Find(name);
     ASSERT_NE(info, nullptr) << name;
-    proto::SimConfig config = LeaseConfig(info->protocol, 1);
+    proto::SimConfig config = LeaseConfig(info->value, 1);
     config.lease.mode = lease::LeaseMode::kSticky;
     EXPECT_FALSE(config.Validate().ok()) << name;
   }
@@ -169,13 +171,13 @@ TEST(LeaseProtocolTest, NonLockEnginesRejectSticky) {
 // Strict lease-mode parsing: unknown names fail, listing nothing silently.
 TEST(LeaseProtocolTest, ParseLeaseModeIsStrict) {
   lease::LeaseMode mode = lease::LeaseMode::kNone;
-  EXPECT_TRUE(lease::ParseLeaseModeName("sticky", &mode).ok());
+  EXPECT_TRUE(lease::LeaseModes().Parse("sticky", &mode).ok());
   EXPECT_EQ(mode, lease::LeaseMode::kSticky);
-  EXPECT_TRUE(lease::ParseLeaseModeName("none", &mode).ok());
+  EXPECT_TRUE(lease::LeaseModes().Parse("none", &mode).ok());
   EXPECT_EQ(mode, lease::LeaseMode::kNone);
-  EXPECT_FALSE(lease::ParseLeaseModeName("bogus", &mode).ok());
-  EXPECT_FALSE(lease::ParseLeaseModeName("", &mode).ok());
-  EXPECT_FALSE(lease::ParseLeaseModeName("Sticky", &mode).ok());
+  EXPECT_FALSE(lease::LeaseModes().Parse("bogus", &mode).ok());
+  EXPECT_FALSE(lease::LeaseModes().Parse("", &mode).ok());
+  EXPECT_FALSE(lease::LeaseModes().Parse("Sticky", &mode).ok());
 }
 
 }  // namespace

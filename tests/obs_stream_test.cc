@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"

@@ -141,7 +141,7 @@ TEST(ParsimEquivalenceTest, BitIdenticalAtAnyThreadAndShardCount) {
 TEST(ParsimEquivalenceTest, RunSimulationRoutesThreadsOneToSerialEngine) {
   SimConfig config = ParsimConfig(Protocol::kNoWait, 4, 1);
   const RunResult via_registry = RunSimulation(config);
-  const RunResult direct = cc::EngineFor(config.protocol).make(config)->Run();
+  const RunResult direct = cc::MakeEngine(config)->Run();
   EXPECT_EQ(Fingerprint(via_registry), Fingerprint(direct));
   // The serial engine reports no parallel telemetry.
   EXPECT_TRUE(via_registry.shard_events.empty());

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/registry.h"
 #include "lease/lease.h"
 #include "protocols/commit.h"
 #include "protocols/config.h"
@@ -94,7 +93,7 @@ TEST(SpanAccountingTest, CommitSubSpansForEveryCommitPath) {
   for (const CommitPathInfo& info : CommitPaths()) {
     for (Protocol protocol : {Protocol::kS2pl, Protocol::kOcc}) {
       SimConfig config = SmallConfig(protocol, 4);
-      config.commit_path = info.path;
+      config.commit_path = info.value;
       ExpectSpansSumToResponse(config, std::string(ToString(protocol)) +
                                            " x4 commit=" + info.name);
     }
@@ -144,13 +143,13 @@ TEST(SpanAccountingTest, WithLinkModel) {
 // Validate() accepts: the trace passes the protocol invariant checkers.
 TEST(SpanAccountingTest, TraceInvariantsHoldOnEveryCombination) {
   int64_t points = 0;
-  for (const cc::EngineInfo& engine : cc::Engines()) {
+  for (const EngineInfo& engine : Engines()) {
     for (const CommitPathInfo& path : CommitPaths()) {
       for (const lease::LeaseModeInfo& lease : lease::LeaseModes()) {
         for (int32_t servers : {1, 4}) {
-          SimConfig config = SmallConfig(engine.protocol, servers);
-          config.commit_path = path.path;
-          config.lease.mode = lease.mode;
+          SimConfig config = SmallConfig(engine.value, servers);
+          config.commit_path = path.value;
+          config.lease.mode = lease.value;
           if (!config.Validate().ok()) continue;
           config.obs_trace = true;
           const RunResult result = RunSimulation(config);
