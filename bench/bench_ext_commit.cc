@@ -96,13 +96,20 @@ void Run(const harness::CliOptions& options) {
   main_table.Print(options.csv_path);
   grid.PrintSummary();
 
+  // The placement ablation compares the client against the chosen
+  // coordinator, so it runs only the classic and coord paths; a --commit
+  // selection without either leaves it nothing to run.
+  std::vector<const proto::CommitPathInfo*> placement_paths;
+  for (const proto::CommitPathInfo* path : paths) {
+    if (path->value == proto::CommitPath::kClassic ||
+        path->value == proto::CommitPath::kCoord) {
+      placement_paths.push_back(path);
+    }
+  }
+  if (placement_paths.empty()) return;
   harness::Table coord_table(columns);
   TagGrid<Row> ablation(options);
-  for (const proto::CommitPathInfo* path : paths) {
-    if (path->value != proto::CommitPath::kClassic &&
-        path->value != proto::CommitPath::kCoord) {
-      continue;  // placement ablation: client vs chosen coordinator only
-    }
+  for (const proto::CommitPathInfo* path : placement_paths) {
     for (SimTime server_latency : {200, 50, 10}) {
       proto::SimConfig config = PaperBaseConfig();
       harness::ApplyScale(options.scale, &config);

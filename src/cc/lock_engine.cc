@@ -190,12 +190,9 @@ void LockCcEngine::DoCommit(TxnRun& run) {
     }
   }
   const TxnId txn = run.id;
-  auto early = early_released_.find(txn);
-  if (early != early_released_.end()) {
-    for (int32_t shard : early->second) {
-      touched[static_cast<size_t>(shard)] = false;
-    }
-    early_released_.erase(early);
+  if (const std::vector<int32_t>* early = early_released_.Find(txn)) {
+    for (int32_t shard : *early) touched[static_cast<size_t>(shard)] = false;
+    early_released_.Erase(txn);
   }
   int32_t participants = 0;
   for (const bool t : touched) participants += t ? 1 : 0;
@@ -243,10 +240,10 @@ void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
   MaybeGcClientLogs();
   // The transaction leaves the policy's books only once its last shard
   // released (it still holds locks elsewhere until then).
-  auto pending = pending_releases_.find(txn);
-  GTPL_CHECK(pending != pending_releases_.end());
-  if (--pending->second == 0) {
-    pending_releases_.erase(pending);
+  int32_t* pending = pending_releases_.Find(txn);
+  GTPL_CHECK(pending != nullptr);
+  if (--*pending == 0) {
+    pending_releases_.Erase(txn);
     policy_->OnTxnFinished(txn);
   }
   if (sticky_) {
@@ -329,10 +326,9 @@ void LockCcEngine::OnCommitDecision(int32_t shard, TxnId txn) {
   if (!RemoteCoordinated(txn)) return;
   TxnRun* run = FindRun(txn);
   if (run == nullptr || run->finished) return;
-  auto early = early_released_.find(txn);
-  if (early != early_released_.end() &&
-      std::find(early->second.begin(), early->second.end(), shard) !=
-          early->second.end()) {
+  const std::vector<int32_t>* early = early_released_.Find(txn);
+  if (early != nullptr &&
+      std::find(early->begin(), early->end(), shard) != early->end()) {
     return;
   }
   ReleaseShardEarly(shard, txn);
@@ -389,12 +385,11 @@ void LockCcEngine::DoCommitSticky(TxnRun& run) {
         Update{record.item, record.version_written});
   }
   const TxnId txn = run.id;
-  auto early = early_released_.find(txn);
-  if (early != early_released_.end()) {
-    for (int32_t shard : early->second) {
+  if (const std::vector<int32_t>* early = early_released_.Find(txn)) {
+    for (int32_t shard : *early) {
       updates_by[static_cast<size_t>(shard)].clear();  // installed at prepare
     }
-    early_released_.erase(early);
+    early_released_.Erase(txn);
   }
   int32_t participants = 0;
   for (const auto& updates : updates_by) participants += updates.empty() ? 0 : 1;

@@ -7,6 +7,7 @@
 
 #include "cc/policy.h"
 #include "common/txn_id_set.h"
+#include "common/txn_map.h"
 #include "db/lock_table.h"
 #include "lease/lease_cache.h"
 #include "lease/lease_table.h"
@@ -152,9 +153,9 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   TxnIdSet server_aborted_;  // ignore their late messages
   // Release messages still in flight per committing txn; the policy learns
   // the txn finished when the count reaches zero.
-  std::unordered_map<TxnId, int32_t> pending_releases_;
+  TxnMap<int32_t> pending_releases_;
   // Shards that already installed + released at prepare time, per txn.
-  std::unordered_map<TxnId, std::vector<int32_t>> early_released_;
+  TxnMap<std::vector<int32_t>> early_released_;
   // Shard whose blocked request the policy is currently resolving; abort
   // decisions are attributed to its server site.
   int32_t current_shard_ = 0;

@@ -95,10 +95,12 @@ void OccEngine::StartCommit(TxnRun& run) {
   auto send_validates = [this, txn, participants = std::move(participants)] {
     TxnRun* current = FindRun(txn);
     if (current == nullptr || current->finished || current->doomed) {
-      votes_.erase(txn);
+      votes_.Erase(txn);
       return;
     }
-    votes_.at(txn).sent_time = simulator().Now();
+    VoteCtx* pending = votes_.Find(txn);
+    GTPL_CHECK(pending != nullptr);
+    pending->sent_time = simulator().Now();
     for (int32_t shard : participants) {
       SendValidate(shard, *current, /*multi=*/true);
     }
@@ -141,14 +143,13 @@ void OccEngine::OnValidate(int32_t shard, TxnId txn, SiteId client_site,
       event.site = ServerSiteOf(shard);
       tracer().Emit(std::move(event));
     }
-    auto vote_it = votes_.find(txn);
-    if (vote_it != votes_.end() &&
-        --vote_it->second.prepares_pending == 0) {
+    VoteCtx* vote = votes_.Find(txn);
+    if (vote != nullptr && --vote->prepares_pending == 0) {
       // Last validate of the fan-out landed: close the prepare sub-span.
       TxnRun* owner = FindRun(txn);
       if (owner != nullptr && !owner->finished) {
         owner->span.commit_prepare =
-            simulator().Now() - vote_it->second.sent_time;
+            simulator().Now() - vote->sent_time;
       }
     }
   }
@@ -199,15 +200,14 @@ void OccEngine::OnOccVote(TxnId txn, int32_t shard, bool yes) {
     event.flag = yes;
     tracer().Emit(std::move(event));
   }
-  auto it = votes_.find(txn);
-  if (it == votes_.end()) return;
-  VoteCtx& ctx = it->second;
-  ctx.all_yes = ctx.all_yes && yes;
-  if (--ctx.votes_pending > 0) return;
-  const bool all_yes = ctx.all_yes;
-  const SimTime sent_time = ctx.sent_time;
-  const std::vector<int32_t> participants = std::move(ctx.participants);
-  votes_.erase(it);
+  VoteCtx* ctx = votes_.Find(txn);
+  if (ctx == nullptr) return;
+  ctx->all_yes = ctx->all_yes && yes;
+  if (--ctx->votes_pending > 0) return;
+  const bool all_yes = ctx->all_yes;
+  const SimTime sent_time = ctx->sent_time;
+  const std::vector<int32_t> participants = std::move(ctx->participants);
+  votes_.Erase(txn);
   TxnRun* run = FindRun(txn);
   if (run == nullptr || run->finished || run->doomed) return;
   if (!all_yes) {
@@ -248,10 +248,10 @@ void OccEngine::OnOccDecision(int32_t shard, TxnId txn,
   }
   server_wal().Append(db::LogRecordKind::kCommit, txn, kInvalidItem, 0);
   auto& shard_prepared = prepared_[static_cast<size_t>(shard)];
-  auto it = shard_prepared.find(txn);
-  GTPL_CHECK(it != shard_prepared.end()) << "decision for unprepared txn";
-  const std::vector<proto::OpRecord> records = std::move(it->second);
-  shard_prepared.erase(it);
+  std::vector<proto::OpRecord>* prepared = shard_prepared.Find(txn);
+  GTPL_CHECK(prepared != nullptr) << "decision for unprepared txn";
+  const std::vector<proto::OpRecord> records = std::move(*prepared);
+  shard_prepared.Erase(txn);
   InstallOnShard(shard, txn, committer_site, records);
   ClearReservations(shard, records);
 }
@@ -359,7 +359,7 @@ void OccEngine::OnClientAborted(TxnRun& run) {
       cache.erase(run.op().item);
     }
   }
-  votes_.erase(run.id);
+  votes_.Erase(run.id);
   std::vector<int32_t> participants = ParticipantsOf(run);
   if (participants.size() <= 1) return;  // nothing was reserved
   // Shards that voted yes before the failing shard doomed the transaction
@@ -370,10 +370,11 @@ void OccEngine::OnClientAborted(TxnRun& run) {
                    [this, shard, txn = run.id] {
                      auto& shard_prepared =
                          prepared_[static_cast<size_t>(shard)];
-                     auto it = shard_prepared.find(txn);
-                     if (it == shard_prepared.end()) return;
-                     ClearReservations(shard, it->second);
-                     shard_prepared.erase(it);
+                     const std::vector<proto::OpRecord>* prepared =
+                         shard_prepared.Find(txn);
+                     if (prepared == nullptr) return;
+                     ClearReservations(shard, *prepared);
+                     shard_prepared.Erase(txn);
                    });
   }
 }

@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/txn_map.h"
 #include "protocols/sharded.h"
 
 namespace gtpl::cc {
@@ -101,9 +102,8 @@ class OccEngine : public proto::ShardedEngineBase {
                       const std::vector<proto::OpRecord>& records);
 
   std::vector<std::unordered_map<ItemId, Slot>> reserved_;   // per shard
-  std::vector<std::unordered_map<TxnId, std::vector<proto::OpRecord>>>
-      prepared_;                                             // per shard
-  std::unordered_map<TxnId, VoteCtx> votes_;
+  std::vector<TxnMap<std::vector<proto::OpRecord>>> prepared_;  // per shard
+  TxnMap<VoteCtx> votes_;
 
   // O2PL's client cache (both empty without `client_cache_`).
   const bool client_cache_;

@@ -1,6 +1,6 @@
 #include "core/precedence_graph.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "common/check.h"
 
@@ -12,6 +12,11 @@ void PrecedenceGraph::AddEdge(TxnId a, TxnId b, EdgeKind kind) {
 
 std::vector<TxnId> PrecedenceGraph::ReachableAmong(
     TxnId from, const std::unordered_set<TxnId>& candidates) const {
+  return graph_.ReachableAmong(from, candidates);
+}
+
+std::vector<TxnId> PrecedenceGraph::ReachableAmong(
+    TxnId from, std::span<const TxnId> candidates) const {
   return graph_.ReachableAmong(from, candidates);
 }
 
@@ -35,17 +40,19 @@ std::vector<TxnId> PrecedenceGraph::ConsistentOrder(
     const std::vector<TxnId>& txns) const {
   const size_t n = txns.size();
   if (n <= 1) return txns;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      GTPL_CHECK_NE(txns[i], txns[j]) << "duplicate txns in batch";
+    }
+  }
   // Constraints are global paths (they may run through transactions outside
   // the batch), so reachability is queried on the full graph.
-  std::unordered_set<TxnId> batch(txns.begin(), txns.end());
-  GTPL_CHECK_EQ(batch.size(), n) << "duplicate txns in batch";
   std::vector<std::vector<size_t>> succs(n);
   std::vector<int32_t> pending_preds(n, 0);
-  std::unordered_map<TxnId, size_t> index;
-  for (size_t i = 0; i < n; ++i) index[txns[i]] = i;
   for (size_t i = 0; i < n; ++i) {
-    for (TxnId target : ReachableAmong(txns[i], batch)) {
-      const size_t j = index[target];
+    for (TxnId target : graph_.ReachableAmong(txns[i], txns)) {
+      const auto j = static_cast<size_t>(
+          std::find(txns.begin(), txns.end(), target) - txns.begin());
       succs[i].push_back(j);
       ++pending_preds[j];
     }

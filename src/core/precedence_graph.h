@@ -2,6 +2,7 @@
 #define GTPL_CORE_PRECEDENCE_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -49,6 +50,9 @@ class PrecedenceGraph {
   /// discovery order; callers must not depend on that order.
   std::vector<TxnId> ReachableAmong(
       TxnId from, const std::unordered_set<TxnId>& candidates) const;
+  /// The same over a plain list of candidates (a dispatched batch).
+  std::vector<TxnId> ReachableAmong(TxnId from,
+                                    std::span<const TxnId> candidates) const;
 
   /// Drops the request-kind from every edge into `txn` (the transaction's
   /// outstanding request was granted or aborted; it waits on no window now).

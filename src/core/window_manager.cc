@@ -136,9 +136,9 @@ bool WindowManager::ResolveCycle(ItemId item, const PendingRequest& request,
       if (callbacks_.can_abort != nullptr && !callbacks_.can_abort(member)) {
         continue;
       }
-      auto it = coord_->txn_client_.find(member);
-      GTPL_CHECK(it != coord_->txn_client_.end());
-      AbortTxn(member, it->second, item);
+      const SiteId* client = coord_->txn_client_.Find(member);
+      GTPL_CHECK(client != nullptr);
+      AbortTxn(member, *client, item);
     }
     std::vector<TxnId> still_reached =
         coord_->graph_.ReachableAmong(request.txn, state.undrained_members);
@@ -179,9 +179,9 @@ void WindowManager::OnTxnAborted(TxnId txn) { coord_->OnTxnAborted(txn); }
 
 void WindowManager::PurgeAbortedRequest(TxnId txn) {
   // Purge the (single, sequential-execution) outstanding request, if any.
-  if (auto it = outstanding_request_.find(txn);
-      it != outstanding_request_.end()) {
-    ItemState& state = StateOf(it->second);
+  if (const ItemId* request = outstanding_request_.Find(txn)) {
+    const ItemId item = *request;
+    ItemState& state = StateOf(item);
     auto pos = std::find_if(
         state.pending.begin(), state.pending.end(),
         [txn](const PendingRequest& r) { return r.txn == txn; });
@@ -189,22 +189,19 @@ void WindowManager::PurgeAbortedRequest(TxnId txn) {
       state.pending.erase(pos);
       // A queued request evicted by an abort is contention pressure at this
       // item too — unless the deciding window already charged it here.
-      if (adaptive_ != nullptr &&
-          it->second != purge_feedback_suppressed_item_) {
-        adaptive_->OnAbortFeedback(it->second);
+      if (adaptive_ != nullptr && item != purge_feedback_suppressed_item_) {
+        adaptive_->OnAbortFeedback(item);
       }
     }
     RecomputePendingWriteFlag(state);
-    outstanding_request_.erase(it);
+    outstanding_request_.Erase(txn);
   }
 }
 
 void WindowManager::EraseMembership(TxnId txn) {
-  if (auto it = member_of_.find(txn); it != member_of_.end()) {
-    for (ItemId item : it->second) {
-      StateOf(item).undrained_members.erase(txn);
-    }
-    member_of_.erase(it);
+  if (const std::vector<ItemId>* items = member_of_.Find(txn)) {
+    for (ItemId item : *items) StateOf(item).undrained_members.erase(txn);
+    member_of_.Erase(txn);
   }
 }
 
@@ -223,7 +220,7 @@ void ShardCoordinator::OnTxnAborted(TxnId txn) {
   for (WindowManager* wm : managers_) wm->EraseMembership(txn);
   // Contracting the victim may have freed downstream ghosts.
   for (TxnId target : targets) {
-    if (ghosts_.count(target) > 0 && !graph_.HasInEdges(target)) {
+    if (ghosts_.Contains(target) && !graph_.HasInEdges(target)) {
       RetireTxn(target);
     }
   }
@@ -237,7 +234,7 @@ void ShardCoordinator::OnTxnDrained(TxnId txn) {
   // (then no cycle can ever run through it); until then it lingers as a
   // ghost in the graph and in the accessor sets.
   if (graph_.HasInEdges(txn)) {
-    ghosts_.insert(txn);
+    ghosts_.Insert(txn);
     return;
   }
   RetireTxn(txn);
@@ -251,13 +248,13 @@ void ShardCoordinator::RetireTxn(TxnId txn) {
     const std::vector<TxnId> targets = graph_.OutTargets(current);
     graph_.RemoveTxn(current);
     for (WindowManager* wm : managers_) wm->EraseMembership(current);
-    txn_client_.erase(current);
-    ghosts_.erase(current);
+    txn_client_.Erase(current);
+    ghosts_.Erase(current);
     // `aborted_` is kept for the whole run: an aborted transaction's
     // request can still be in flight after it drained, and must be ignored
     // on arrival. Retiring this node may free ghosts downstream.
     for (TxnId target : targets) {
-      if (ghosts_.count(target) > 0 && !graph_.HasInEdges(target)) {
+      if (ghosts_.Contains(target) && !graph_.HasInEdges(target)) {
         worklist.push_back(target);
       }
     }
@@ -337,11 +334,7 @@ void WindowManager::DispatchWindow(ItemId item) {
   batch = ApplyPolicy(options_.ordering, std::move(batch));
   std::vector<TxnId> txns;
   txns.reserve(batch.size());
-  std::unordered_map<TxnId, const PendingRequest*> by_txn;
-  for (const PendingRequest& r : batch) {
-    txns.push_back(r.txn);
-    by_txn[r.txn] = &r;
-  }
+  for (const PendingRequest& r : batch) txns.push_back(r.txn);
   const std::vector<TxnId> order = coord_->graph_.ConsistentOrder(txns);
 
   // The batch members' waits end here. Every request edge into them —
@@ -350,13 +343,15 @@ void WindowManager::DispatchWindow(ItemId item) {
   // orderings that never materialized as waits.
   for (TxnId txn : order) {
     coord_->graph_.PromoteRequestEdgesInto(txn);
-    outstanding_request_.erase(txn);
+    outstanding_request_.Erase(txn);
   }
   for (TxnId txn : order) AddAccessorOrderEdges(item, txn);
 
   ForwardListBuilder builder;
   for (TxnId txn : order) {
-    const PendingRequest& r = *by_txn.at(txn);
+    const PendingRequest& r = *std::find_if(
+        batch.begin(), batch.end(),
+        [txn](const PendingRequest& p) { return p.txn == txn; });
     builder.Add(r.txn, r.client, r.mode);
   }
   std::shared_ptr<const ForwardList> fl = builder.Build();
@@ -374,11 +369,10 @@ void WindowManager::DispatchWindow(ItemId item) {
   // from the final entry (paths from earlier entries follow the chain).
   // A pending request that already precedes a batch member is deadlocked.
   if (!state.pending.empty()) {
-    std::unordered_set<TxnId> batch_set(order.begin(), order.end());
     const FlEntry& last = fl->entry(fl->num_entries() - 1);
     std::vector<TxnId> doomed;
     for (const PendingRequest& p : state.pending) {
-      if (!coord_->graph_.ReachableAmong(p.txn, batch_set).empty()) {
+      if (!coord_->graph_.ReachableAmong(p.txn, order).empty()) {
         doomed.push_back(p.txn);
         continue;
       }
@@ -387,9 +381,9 @@ void WindowManager::DispatchWindow(ItemId item) {
       }
     }
     for (TxnId txn : doomed) {
-      auto it = coord_->txn_client_.find(txn);
-      GTPL_CHECK(it != coord_->txn_client_.end());
-      AbortTxn(txn, it->second, item);  // also purges it from state.pending
+      const SiteId* client = coord_->txn_client_.Find(txn);
+      GTPL_CHECK(client != nullptr);
+      AbortTxn(txn, *client, item);  // also purges it from state.pending
       ++aborts_at_dispatch_pending_;
     }
   }
@@ -414,14 +408,17 @@ void WindowManager::DispatchWindow(ItemId item) {
 void WindowManager::AddAccessorOrderEdges(ItemId item, TxnId grantee,
                                           bool skip_current_window) {
   ItemState& state = StateOf(item);
-  std::unordered_set<TxnId> current;
+  std::vector<TxnId> current;
   if (skip_current_window && state.fl != nullptr) {
-    for (TxnId member : state.fl->MemberTxns()) current.insert(member);
+    current = state.fl->MemberTxns();
   }
   for (TxnId accessor : state.undrained_members) {
     if (accessor == grantee) continue;
     if (coord_->aborted_.Contains(accessor)) continue;  // not serialized
-    if (skip_current_window && current.count(accessor) > 0) continue;
+    if (std::find(current.begin(), current.end(), accessor) !=
+        current.end()) {
+      continue;
+    }
     coord_->graph_.AddEdge(accessor, grantee, kStructuralEdge);
   }
 }
@@ -429,12 +426,12 @@ void WindowManager::AddAccessorOrderEdges(ItemId item, TxnId grantee,
 bool WindowManager::ReachesOlderAccessor(ItemId item, TxnId txn) {
   ItemState& state = StateOf(item);
   std::unordered_set<TxnId> older;
-  std::unordered_set<TxnId> current;
-  if (state.fl != nullptr) {
-    for (TxnId member : state.fl->MemberTxns()) current.insert(member);
-  }
+  std::vector<TxnId> current;
+  if (state.fl != nullptr) current = state.fl->MemberTxns();
   for (TxnId accessor : state.undrained_members) {
-    if (current.count(accessor) == 0) older.insert(accessor);
+    if (std::find(current.begin(), current.end(), accessor) == current.end()) {
+      older.insert(accessor);
+    }
   }
   return !coord_->graph_.ReachableAmong(txn, older).empty();
 }

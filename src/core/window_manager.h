@@ -6,11 +6,11 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/txn_id_set.h"
+#include "common/txn_map.h"
 #include "common/types.h"
 #include "core/adaptive_window.h"
 #include "core/forward_list.h"
@@ -103,10 +103,10 @@ class ShardCoordinator {
   PrecedenceGraph graph_;
   std::vector<WindowManager*> managers_;
   // txn -> client site (for abort routing); erased at drain.
-  std::unordered_map<TxnId, SiteId> txn_client_;
+  TxnMap<SiteId> txn_client_;
   TxnIdSet aborted_;
   // Drained but not yet retired (something still points into them).
-  std::unordered_set<TxnId> ghosts_;
+  TxnSet ghosts_;
 };
 
 /// The data server's per-item window state machine — the core of the g-2PL
@@ -207,6 +207,7 @@ class WindowManager {
     // earlier window) and are not yet fully drained. Every new grant is
     // ordered after all of them; drained transactions can safely be
     // forgotten (no edge can ever point into a finished transaction).
+    // A hash set because PrecedenceGraph::ReachableAmong takes one.
     std::unordered_set<TxnId> undrained_members;
     int32_t returns_expected = 0;
     int32_t returns_received = 0;
@@ -277,9 +278,9 @@ class WindowManager {
   std::unique_ptr<ShardCoordinator> owned_coord_;  // null when shared
   ShardCoordinator* coord_;
   // txn -> items whose current window lists it as (undrained) member.
-  std::unordered_map<TxnId, std::vector<ItemId>> member_of_;
+  TxnMap<std::vector<ItemId>> member_of_;
   // txn -> item of its single outstanding (pending) request, if any.
-  std::unordered_map<TxnId, ItemId> outstanding_request_;
+  TxnMap<ItemId> outstanding_request_;
   int64_t arrival_counter_ = 0;
   int64_t windows_dispatched_ = 0;
   int64_t total_dispatched_requests_ = 0;

@@ -41,8 +41,8 @@ LockResult LockTable::Request(TxnId txn, ItemId item, LockMode mode) {
 
 void LockTable::ReleaseAll(TxnId txn, const GrantCallback& on_grant) {
   std::vector<ItemId> touched;
-  if (auto it = queued_.find(txn); it != queued_.end()) {
-    for (ItemId item : it->second) {
+  if (const std::vector<ItemId>* queued = queued_.Find(txn)) {
+    for (ItemId item : *queued) {
       auto& waiting = items_[static_cast<size_t>(item)].waiting;
       auto pos = std::find_if(
           waiting.begin(), waiting.end(),
@@ -51,11 +51,11 @@ void LockTable::ReleaseAll(TxnId txn, const GrantCallback& on_grant) {
       waiting.erase(pos);
       touched.push_back(item);
     }
-    queued_.erase(it);
+    queued_.Erase(txn);
   }
-  if (auto it = held_.find(txn); it != held_.end()) {
-    std::vector<ItemId> released = std::move(it->second);
-    held_.erase(it);
+  if (std::vector<ItemId>* held = held_.Find(txn)) {
+    std::vector<ItemId> released = std::move(*held);
+    held_.Erase(txn);
     for (ItemId item : released) {
       auto& granted = items_[static_cast<size_t>(item)].granted;
       auto pos =
@@ -80,9 +80,11 @@ void LockTable::PromoteWaiters(ItemId item, const GrantCallback& on_grant) {
     locks.waiting.pop_front();
     locks.granted.push_back(granted);
     held_[granted.txn].push_back(item);
-    auto& queue_list = queued_[granted.txn];
-    queue_list.erase(std::find(queue_list.begin(), queue_list.end(), item));
-    if (queue_list.empty()) queued_.erase(granted.txn);
+    std::vector<ItemId>* queue_list = queued_.Find(granted.txn);
+    GTPL_CHECK(queue_list != nullptr);
+    queue_list->erase(
+        std::find(queue_list->begin(), queue_list->end(), item));
+    if (queue_list->empty()) queued_.Erase(granted.txn);
     on_grant(granted.txn, item, granted.mode);
   }
 }
@@ -105,10 +107,9 @@ std::vector<TxnId> LockTable::Blockers(TxnId txn, ItemId item) const {
 }
 
 bool LockTable::Holds(TxnId txn, ItemId item) const {
-  auto it = held_.find(txn);
-  if (it == held_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), item) !=
-         it->second.end();
+  const std::vector<ItemId>* held = held_.Find(txn);
+  return held != nullptr &&
+         std::find(held->begin(), held->end(), item) != held->end();
 }
 
 int32_t LockTable::NumHolders(ItemId item) const {
@@ -120,9 +121,8 @@ int32_t LockTable::NumWaiters(ItemId item) const {
 }
 
 std::vector<ItemId> LockTable::HeldItems(TxnId txn) const {
-  auto it = held_.find(txn);
-  if (it == held_.end()) return {};
-  return it->second;
+  const std::vector<ItemId>* held = held_.Find(txn);
+  return held == nullptr ? std::vector<ItemId>{} : *held;
 }
 
 int64_t LockTable::TotalHeld() const {

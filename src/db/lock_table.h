@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/txn_map.h"
 #include "common/types.h"
 
 namespace gtpl::db {
@@ -86,8 +86,8 @@ class LockTable {
 
   std::vector<ItemLocks> items_;
   // txn -> items it holds (for O(1) release); waiting items tracked too.
-  std::unordered_map<TxnId, std::vector<ItemId>> held_;
-  std::unordered_map<TxnId, std::vector<ItemId>> queued_;
+  TxnMap<std::vector<ItemId>> held_;
+  TxnMap<std::vector<ItemId>> queued_;
 };
 
 }  // namespace gtpl::db

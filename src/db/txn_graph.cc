@@ -7,13 +7,13 @@
 namespace gtpl::db {
 
 TxnGraph::Slot TxnGraph::Find(TxnId txn) const {
-  auto it = slot_of_.find(txn);
-  return it == slot_of_.end() ? kNoSlot : it->second;
+  const Slot* slot = slot_of_.Find(txn);
+  return slot == nullptr ? kNoSlot : *slot;
 }
 
 TxnGraph::Slot TxnGraph::FindOrAdd(TxnId txn) {
-  auto [it, inserted] = slot_of_.try_emplace(txn, kNoSlot);
-  if (!inserted) return it->second;
+  auto [mapped, inserted] = slot_of_.TryEmplace(txn);
+  if (!inserted) return *mapped;
   Slot slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -25,14 +25,14 @@ TxnGraph::Slot TxnGraph::FindOrAdd(TxnId txn) {
     candidate_.push_back(0);
   }
   nodes_[slot].txn = txn;
-  it->second = slot;
+  *mapped = slot;
   return slot;
 }
 
 void TxnGraph::ReleaseIfIsolated(Slot slot) {
   Node& node = nodes_[slot];
   if (!node.out.empty() || !node.in.empty()) return;
-  slot_of_.erase(node.txn);
+  slot_of_.Erase(node.txn);
   node.txn = kInvalidTxn;
   free_.push_back(slot);  // the edge vectors keep their capacity for reuse
 }
@@ -187,31 +187,6 @@ bool TxnGraph::CanReach(TxnId from, TxnId to) const {
     }
   }
   return false;
-}
-
-std::vector<TxnId> TxnGraph::ReachableAmong(
-    TxnId from, const std::unordered_set<TxnId>& candidates) const {
-  std::vector<TxnId> hits;
-  const Slot source = Find(from);
-  if (source == kNoSlot || nodes_[source].out.empty()) return hits;
-  const uint32_t epoch = NextEpoch();
-  for (TxnId candidate : candidates) {
-    const Slot slot = Find(candidate);
-    if (slot != kNoSlot) candidate_[slot] = epoch;
-  }
-  visited_[source] = epoch;
-  stack_.assign(1, source);
-  while (!stack_.empty()) {
-    const Slot node = stack_.back();
-    stack_.pop_back();
-    for (const Edge& edge : nodes_[node].out) {
-      if (visited_[edge.to] == epoch) continue;
-      visited_[edge.to] = epoch;
-      if (candidate_[edge.to] == epoch) hits.push_back(nodes_[edge.to].txn);
-      stack_.push_back(edge.to);
-    }
-  }
-  return hits;
 }
 
 std::vector<TxnId> TxnGraph::CycleThrough(TxnId start) const {

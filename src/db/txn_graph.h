@@ -2,11 +2,11 @@
 #define GTPL_DB_TXN_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
+#include "common/txn_map.h"
 #include "common/types.h"
 
 namespace gtpl::db {
@@ -61,10 +61,13 @@ class TxnGraph {
   /// True iff a path from `from` to `to` exists (from == to counts).
   bool CanReach(TxnId from, TxnId to) const;
 
-  /// Members of `candidates` reachable from `from` by a non-empty path, in
-  /// depth-first discovery order.
-  std::vector<TxnId> ReachableAmong(
-      TxnId from, const std::unordered_set<TxnId>& candidates) const;
+  /// Members of `candidates` (any range of TxnIds; duplicates count once)
+  /// reachable from `from` by a non-empty path, in depth-first discovery
+  /// order. The search ends once every candidate with a node was found.
+  /// (The default lets a braced list of ids stand for the range.)
+  template <typename Range = std::initializer_list<TxnId>>
+  std::vector<TxnId> ReachableAmong(TxnId from,
+                                    const Range& candidates) const;
 
   /// One cycle through `start` as [start, n1, ..., nk] with nk -> start;
   /// empty when there is none. The search is depth-first and follows
@@ -117,7 +120,7 @@ class TxnGraph {
   /// Starts a traversal: a fresh stamp no slot carries yet.
   uint32_t NextEpoch() const;
 
-  std::unordered_map<TxnId, Slot> slot_of_;
+  TxnMap<Slot> slot_of_;
   std::vector<Node> nodes_;
   std::vector<Slot> free_;
   int64_t num_edges_ = 0;
@@ -132,6 +135,41 @@ class TxnGraph {
   std::vector<Edge> bridge_targets_;
   std::vector<Slot> bridge_sources_;
 };
+
+template <typename Range>
+std::vector<TxnId> TxnGraph::ReachableAmong(TxnId from,
+                                            const Range& candidates) const {
+  std::vector<TxnId> hits;
+  const Slot source = Find(from);
+  if (source == kNoSlot || nodes_[source].out.empty()) return hits;
+  const uint32_t epoch = NextEpoch();
+  size_t remaining = 0;  // stamped candidates not found yet
+  for (TxnId candidate : candidates) {
+    const Slot slot = Find(candidate);
+    if (slot == kNoSlot || slot == source || candidate_[slot] == epoch) {
+      continue;
+    }
+    candidate_[slot] = epoch;
+    ++remaining;
+  }
+  if (remaining == 0) return hits;
+  visited_[source] = epoch;
+  stack_.assign(1, source);
+  while (!stack_.empty()) {
+    const Slot node = stack_.back();
+    stack_.pop_back();
+    for (const Edge& edge : nodes_[node].out) {
+      if (visited_[edge.to] == epoch) continue;
+      visited_[edge.to] = epoch;
+      if (candidate_[edge.to] == epoch) {
+        hits.push_back(nodes_[edge.to].txn);
+        if (--remaining == 0) return hits;
+      }
+      stack_.push_back(edge.to);
+    }
+  }
+  return hits;
+}
 
 }  // namespace gtpl::db
 

@@ -25,8 +25,28 @@ double Network::MaxLinkUtilization(SimTime horizon) const {
   return link_ == nullptr ? 0.0 : link_->MaxUtilization(horizon);
 }
 
-void Network::RunDelivery(const DeliveryInfo& info, const std::string& label,
-                          const std::function<void()>& deliver) {
+uint32_t Network::Park(InFlight message) {
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(message));
+    return static_cast<uint32_t>(in_flight_.size() - 1);
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = std::move(message);
+  return slot;
+}
+
+Network::InFlight Network::Unpark(uint32_t slot) {
+  InFlight message = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return message;
+}
+
+void Network::RunDelivery(uint32_t slot) {
+  // Moved out first: the callback may Send, which can reuse the slot or
+  // reallocate in_flight_.
+  const InFlight message = Unpark(slot);
+  const DeliveryInfo& info = message.info;
   if (tracer_ != nullptr && tracer_->enabled()) {
     const SimTime service =
         link_ == nullptr ? 0 : link_->TransmissionDelay(info.payload);
@@ -35,7 +55,7 @@ void Network::RunDelivery(const DeliveryInfo& info, const std::string& label,
     event.site = info.to;
     event.peer = info.from;
     event.payload = static_cast<int64_t>(info.payload);
-    event.label = label;
+    event.label = message.label;
     event.d0 = info.tx_start - info.send_time;               // sender queue
     event.d1 = info.Propagation();                           // propagation
     event.d2 = info.deliver_time - info.rx_queue_entry - service;
@@ -43,7 +63,7 @@ void Network::RunDelivery(const DeliveryInfo& info, const std::string& label,
     tracer_->Emit(std::move(event));
   }
   current_delivery_ = info;
-  deliver();
+  message.deliver();
   current_delivery_.active = false;
 }
 
@@ -65,6 +85,14 @@ void Network::Send(SiteId from, SiteId to, std::string label,
   }
 
   const SimTime now = simulator_->Now();
+  InFlight message;
+  message.info.active = true;
+  message.info.send_time = now;
+  message.info.from = from;
+  message.info.to = to;
+  message.info.payload = payload;
+  message.label = std::move(label);
+  message.deliver = std::move(on_deliver);
   if (link_ == nullptr) {
     if (tracer_ != nullptr && tracer_->enabled()) {
       obs::TraceEvent event;
@@ -72,23 +100,14 @@ void Network::Send(SiteId from, SiteId to, std::string label,
       event.site = from;
       event.peer = to;
       event.payload = static_cast<int64_t>(payload);
-      event.label = label;
+      event.label = message.label;
       tracer_->Emit(std::move(event));
     }
-    DeliveryInfo info;
-    info.active = true;
-    info.send_time = now;
-    info.tx_start = now;
-    info.rx_queue_entry = now + propagation;
-    info.deliver_time = now + propagation;
-    info.from = from;
-    info.to = to;
-    info.payload = payload;
-    simulator_->Schedule(propagation,
-                         [this, info, label = std::move(label),
-                          deliver = std::move(on_deliver)] {
-                           RunDelivery(info, label, deliver);
-                         });
+    message.info.tx_start = now;
+    message.info.rx_queue_entry = now + propagation;
+    message.info.deliver_time = now + propagation;
+    const uint32_t slot = Park(std::move(message));
+    simulator_->Schedule(propagation, [this, slot] { RunDelivery(slot); });
     return;
   }
 
@@ -109,38 +128,32 @@ void Network::Send(SiteId from, SiteId to, std::string label,
     event.site = from;
     event.peer = to;
     event.payload = static_cast<int64_t>(payload);
-    event.label = label;
+    event.label = message.label;
     event.d0 = sender_delay;
     event.d1 = service;
     tracer_->Emit(std::move(event));
   }
 
-  simulator_->ScheduleAt(
-      first_bit_arrival,
-      [this, from, to, payload, service, sender_delay, send_time = now,
-       tx_start, label = std::move(label),
-       deliver = std::move(on_deliver)]() mutable {
-        const SimTime arrival = simulator_->Now();
-        const SimTime deliver_time = link_->AdmitDownlink(to, payload, arrival);
-        const SimTime receiver_delay = deliver_time - service - arrival;
-        stats_.receiver_queue_delay.Add(static_cast<double>(receiver_delay));
-        queue_delay_hist_.Add(
-            static_cast<double>(sender_delay + receiver_delay));
-        DeliveryInfo info;
-        info.active = true;
-        info.send_time = send_time;
-        info.tx_start = tx_start;
-        info.rx_queue_entry = arrival;
-        info.deliver_time = deliver_time;
-        info.from = from;
-        info.to = to;
-        info.payload = payload;
-        simulator_->ScheduleAt(deliver_time,
-                               [this, info, label = std::move(label),
-                                deliver = std::move(deliver)] {
-                                 RunDelivery(info, label, deliver);
-                               });
-      });
+  message.info.tx_start = tx_start;
+  message.service = service;
+  const uint32_t slot = Park(std::move(message));
+  simulator_->ScheduleAt(first_bit_arrival,
+                         [this, slot] { ArriveAtDownlink(slot); });
+}
+
+void Network::ArriveAtDownlink(uint32_t slot) {
+  DeliveryInfo& info = in_flight_[slot].info;
+  const SimTime service = in_flight_[slot].service;
+  const SimTime arrival = simulator_->Now();
+  const SimTime deliver_time =
+      link_->AdmitDownlink(info.to, info.payload, arrival);
+  const SimTime sender_delay = info.tx_start - info.send_time;
+  const SimTime receiver_delay = deliver_time - service - arrival;
+  stats_.receiver_queue_delay.Add(static_cast<double>(receiver_delay));
+  queue_delay_hist_.Add(static_cast<double>(sender_delay + receiver_delay));
+  info.rx_queue_entry = arrival;
+  info.deliver_time = deliver_time;
+  simulator_->ScheduleAt(deliver_time, [this, slot] { RunDelivery(slot); });
 }
 
 }  // namespace gtpl::net

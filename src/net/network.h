@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "net/latency_model.h"
@@ -140,10 +141,30 @@ class Network {
   obs::Tracer* tracer_ = nullptr;
   DeliveryInfo current_delivery_;
 
-  /// Runs `deliver` with current_delivery_ set to `info` (and the
-  /// kMsgDeliver trace event emitted first).
-  void RunDelivery(const DeliveryInfo& info, const std::string& label,
-                   const std::function<void()>& deliver);
+  /// A message in flight, parked in a reused slot so the scheduled closure
+  /// is just [this, slot] and fits std::function's inline buffer. Under
+  /// the link model `info` fills in as the message moves; `service` is its
+  /// transmission time.
+  struct InFlight {
+    DeliveryInfo info;
+    SimTime service = 0;
+    std::string label;
+    std::function<void()> deliver;
+  };
+  std::vector<InFlight> in_flight_;
+  std::vector<uint32_t> free_slots_;
+
+  uint32_t Park(InFlight message);
+  /// Takes the message out of `slot` and frees the slot.
+  InFlight Unpark(uint32_t slot);
+
+  /// The link model's downlink stage: the first bit of the message in
+  /// `slot` reached the receiver.
+  void ArriveAtDownlink(uint32_t slot);
+
+  /// Runs the message's callback with current_delivery_ set to its info
+  /// (and the kMsgDeliver trace event emitted first).
+  void RunDelivery(uint32_t slot);
 };
 
 }  // namespace gtpl::net

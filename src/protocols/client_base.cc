@@ -113,9 +113,9 @@ EngineBase::ClientState& EngineBase::ClientOfSite(SiteId site) {
 }
 
 EngineBase::TxnRun* EngineBase::FindRun(TxnId txn) {
-  auto it = txn_client_.find(txn);
-  if (it == txn_client_.end()) return nullptr;
-  TxnRun* run = clients_[static_cast<size_t>(it->second)].current.get();
+  const int32_t* index = txn_client_.Find(txn);
+  if (index == nullptr) return nullptr;
+  TxnRun* run = clients_[static_cast<size_t>(*index)].current.get();
   if (run == nullptr || run->id != txn) return nullptr;
   return run;
 }
@@ -184,7 +184,7 @@ void EngineBase::BeginTxn(ClientState& client) {
   run->spec = client.generator->NextTxn();
   run->spec.id = run->id;
   run->start_time = sim_.Now();
-  if (client.current != nullptr) txn_client_.erase(client.current->id);
+  if (client.current != nullptr) txn_client_.Erase(client.current->id);
   txn_client_[run->id] = client.index;
   client.current = std::move(run);
   client.current->request_time = sim_.Now();
@@ -384,7 +384,9 @@ void EngineBase::FinalizeCommit(TxnRun& run) {
       gc.updates.emplace_back(record.item, record.version_written);
     }
   }
-  gc_queues_[static_cast<size_t>(run.client_index)].push_back(std::move(gc));
+  auto& queue = gc_queues_[static_cast<size_t>(run.client_index)];
+  if (queue.empty()) gc_pending_.push_back(run.client_index);
+  queue.push_back(std::move(gc));
   DoCommit(run);
   OnTxnClosed(run);
   if (measured_commits_ >= config_.measured_txns) {
@@ -401,22 +403,27 @@ void EngineBase::MaybeGcClientLogs() {
     server_wal_->Force(server_wal_->next_lsn() - 1);
     server_wal_->TruncateThrough(server_wal_->durable_lsn());
   }
-  for (size_t i = 0; i < clients_.size(); ++i) {
+  for (size_t k = 0; k < gc_pending_.size();) {
+    const auto i = static_cast<size_t>(gc_pending_[k]);
     auto& queue = gc_queues_[i];
     db::WriteAheadLog& wal = *clients_[i].wal;
     while (!queue.empty()) {
-      const PendingGc& front = queue.front();
-      bool permanent = true;
-      for (const auto& [item, version] : front.updates) {
-        if (store_->VersionOf(item) < version) {
-          permanent = false;
-          break;
-        }
+      PendingGc& front = queue.front();
+      while (front.permanent < front.updates.size()) {
+        const auto& [item, version] = front.updates[front.permanent];
+        if (store_->VersionOf(item) < version) break;
+        ++front.permanent;
       }
-      if (!permanent) break;
+      if (front.permanent < front.updates.size()) break;
       wal.Force(front.lsn);
       wal.TruncateThrough(front.lsn);
       queue.pop_front();
+    }
+    if (queue.empty()) {
+      gc_pending_[k] = gc_pending_.back();
+      gc_pending_.pop_back();
+    } else {
+      ++k;
     }
   }
 }

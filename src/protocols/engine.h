@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/txn_map.h"
 #include "common/types.h"
 #include "db/data_store.h"
 #include "db/wal.h"
@@ -193,6 +193,9 @@ class EngineBase {
   struct PendingGc {
     int64_t lsn = 0;  // client log prefix covered by this transaction
     std::vector<std::pair<ItemId, Version>> updates;
+    // updates[0, permanent) are already installed; installed versions only
+    // grow, so they are never checked again.
+    size_t permanent = 0;
   };
 
   SimConfig config_;
@@ -206,7 +209,11 @@ class EngineBase {
   std::unique_ptr<db::WriteAheadLog> server_wal_;
   std::vector<ClientState> clients_;
   std::vector<std::deque<PendingGc>> gc_queues_;  // one per client
-  std::unordered_map<TxnId, int32_t> txn_client_;  // active txns only
+  // Clients whose GC queue is not empty, in no particular order: the
+  // client logs are independent, so the order they are collected in is
+  // not observable.
+  std::vector<int32_t> gc_pending_;
+  TxnMap<int32_t> txn_client_;  // active txns only
   TxnId next_txn_id_ = 1;
   int64_t measured_commits_ = 0;
   RunResult result_;

@@ -39,9 +39,22 @@ G2plEngine::G2plEngine(const SimConfig& config) : ShardedEngineBase(config) {
 }
 
 G2plEngine::TxnState& G2plEngine::EnsureTxn(TxnId txn, int32_t client_index) {
-  auto [it, inserted] = txns_.try_emplace(txn);
-  if (inserted) it->second.client_index = client_index;
-  return it->second;
+  auto [ts, inserted] = txns_.TryEmplace(txn);
+  if (inserted) ts->client_index = client_index;
+  return *ts;
+}
+
+G2plEngine::Obligation* G2plEngine::TxnState::SlotOf(ItemId item) {
+  for (Obligation& ob : slots) {
+    if (ob.item == item) return &ob;
+  }
+  return nullptr;
+}
+
+void G2plEngine::AddSlot(TxnId txn, int32_t client_index, ItemId item) {
+  TxnState& ts = EnsureTxn(txn, client_index);
+  ++ts.slots_outstanding;
+  ts.slots.emplace_back().item = item;
 }
 
 void G2plEngine::SendRequest(TxnRun& run) {
@@ -85,9 +98,7 @@ void G2plEngine::WmDispatch(int32_t shard, ItemId item, Version version,
               kInvalidTxn);
   for (int32_t e = 0; e < fl->num_entries(); ++e) {
     for (const core::FlMember& m : fl->entry(e).members) {
-      TxnState& ts = EnsureTxn(m.txn, m.client - 1);
-      ++ts.slots_outstanding;
-      ts.slot_items.push_back(item);
+      AddSlot(m.txn, m.client - 1, item);
     }
   }
   DeliverToEntry(ServerSiteOf(shard), item, version, std::move(fl), 0);
@@ -102,9 +113,7 @@ void G2plEngine::WmExpand(int32_t shard, ItemId item, Version version,
                           TxnId txn, SiteId client_site,
                           int32_t member_index) {
   TraceWindow(obs::EventKind::kWindowExpand, shard, item, version, *fl, txn);
-  TxnState& ts = EnsureTxn(txn, client_site - 1);
-  ++ts.slots_outstanding;
-  ts.slot_items.push_back(item);
+  AddSlot(txn, client_site - 1, item);
   network().Send(ServerSiteOf(shard), client_site, "data(expand)",
                  [this, txn, item, version, fl = std::move(fl),
                   member_index] {
@@ -162,9 +171,11 @@ void G2plEngine::OnData(TxnId txn, ItemId item, Version version,
                         std::shared_ptr<const core::ForwardList> fl,
                         int32_t entry_index, int32_t member_index,
                         int32_t early_releases) {
-  auto ts = txns_.find(txn);
-  if (ts == txns_.end()) return;  // drained
-  Obligation& ob = obligations_[ObKey{txn, item}];
+  TxnState* ts = txns_.Find(txn);
+  if (ts == nullptr) return;  // drained
+  Obligation* slot = ts->SlotOf(item);
+  GTPL_CHECK(slot != nullptr) << "data for an undispatched slot";
+  Obligation& ob = *slot;
   if (ob.data_arrived) {
     // A ride-along copy already arrived via a reader release (possible only
     // with reordering latency models); keep the established state.
@@ -178,7 +189,7 @@ void G2plEngine::OnData(TxnId txn, ItemId item, Version version,
     ob.version = version;
     if (early_releases > 0) ob.releases_needed = early_releases;
   }
-  if (ts->second.finished) {
+  if (ts->finished) {
     TryForward(txn, item);
     return;
   }
@@ -191,8 +202,8 @@ void G2plEngine::OnReaderRelease(TxnId writer_txn, ItemId item,
                                  int32_t writer_entry_index) {
   // A drained writer aborted and passed the item through without waiting;
   // its readers' releases still arrive and are dropped here.
-  auto ts = txns_.find(writer_txn);
-  if (ts == txns_.end()) return;
+  TxnState* ts = txns_.Find(writer_txn);
+  if (ts == nullptr) return;
   if (tracer().enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kReaderRelease;
@@ -201,7 +212,9 @@ void G2plEngine::OnReaderRelease(TxnId writer_txn, ItemId item,
     event.shard = ShardOf(item);
     tracer().Emit(std::move(event));
   }
-  Obligation& ob = obligations_[ObKey{writer_txn, item}];
+  Obligation* slot = ts->SlotOf(item);
+  GTPL_CHECK(slot != nullptr) << "reader release for an undispatched slot";
+  Obligation& ob = *slot;
   if (ob.fl == nullptr) {
     // Basic mode (MR1W off): the first reader release carries the data.
     ob.fl = std::move(fl);
@@ -218,7 +231,7 @@ void G2plEngine::OnReaderRelease(TxnId writer_txn, ItemId item,
     ob.version = version;
   }
   if (ob.forwarded) return;  // aborted writer already passed it through
-  if (ts->second.finished) {
+  if (ts->finished) {
     TryForward(writer_txn, item);
   } else {
     MaybeGrant(writer_txn, item, ob);
@@ -242,10 +255,12 @@ void G2plEngine::MaybeGrant(TxnId txn, ItemId item, Obligation& ob) {
 }
 
 void G2plEngine::TryForward(TxnId txn, ItemId item) {
-  auto it = obligations_.find(ObKey{txn, item});
-  if (it == obligations_.end()) return;  // slot not yet materialized or gone
-  Obligation& ob = it->second;
-  TxnState& ts = txns_.at(txn);
+  TxnState* state = txns_.Find(txn);
+  if (state == nullptr) return;  // drained
+  TxnState& ts = *state;
+  Obligation* slot = ts.SlotOf(item);
+  if (slot == nullptr) return;  // window not dispatched yet
+  Obligation& ob = *slot;
   if (ob.forwarded || !ob.data_arrived || !ts.finished) return;
   // A committed writer may not release its update before all reader
   // releases arrive (MR1W rule); an aborted transaction waits for nothing.
@@ -309,23 +324,26 @@ void G2plEngine::TryForward(TxnId txn, ItemId item) {
 }
 
 void G2plEngine::CheckDrain(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return;  // already drained
-  const TxnState& ts = it->second;
-  if (!ts.finished || ts.slots_outstanding != 0) return;
+  const TxnState* ts = txns_.Find(txn);
+  if (ts == nullptr) return;  // already drained
+  if (!ts->finished || ts->slots_outstanding != 0) return;
   // OnTxnDrained delegates to the shared coordinator, which retires the
   // transaction across every shard; any manager routes there.
   wms_[0]->OnTxnDrained(txn);
-  for (ItemId item : ts.slot_items) obligations_.erase(ObKey{txn, item});
-  txns_.erase(it);
+  txns_.Erase(txn);
 }
 
 void G2plEngine::Finish(TxnRun& run, bool committed) {
   TxnState& ts = EnsureTxn(run.id, run.client_index);
   ts.finished = true;
   ts.committed = committed;
-  const std::vector<ItemId> items = ts.slot_items;  // TryForward may drain
-  for (ItemId item : items) TryForward(run.id, item);
+  // TryForward may drain the transaction, which erases its state: look it
+  // up again before each slot.
+  for (size_t i = 0;; ++i) {
+    const TxnState* state = txns_.Find(run.id);
+    if (state == nullptr || i == state->slots.size()) break;
+    TryForward(run.id, state->slots[i].item);
+  }
   CheckDrain(run.id);
 }
 

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/txn_map.h"
 #include "core/forward_list.h"
 #include "core/window_manager.h"
 #include "protocols/sharded.h"
@@ -52,22 +52,9 @@ class G2plEngine : public ShardedEngineBase {
   void OnCommitDecision(int32_t shard, TxnId txn) override;
 
  private:
-  /// Transaction state that outlives the client's TxnRun: a finished
-  /// transaction still occupies forward-list slots until every one of them
-  /// has been forwarded. Only then is it *drained*: it leaves the
-  /// precedence graph and its state is erased, so any later message for it
-  /// (a reader release reaching an aborted writer that passed through
-  /// without waiting) finds no state and is dropped.
-  struct TxnState {
-    int32_t client_index = 0;
-    bool finished = false;
-    bool committed = false;
-    int32_t slots_outstanding = 0;
-    std::vector<ItemId> slot_items;
-  };
-
   /// One slot on a dispatched forward list, tracked at the owning client.
   struct Obligation {
+    ItemId item = kInvalidItem;
     std::shared_ptr<const core::ForwardList> fl;
     int32_t entry = 0;
     int32_t member = 0;
@@ -80,17 +67,23 @@ class G2plEngine : public ShardedEngineBase {
     bool forwarded = false; // slot completed
   };
 
-  struct ObKey {
-    TxnId txn;
-    ItemId item;
-    bool operator==(const ObKey& other) const {
-      return txn == other.txn && item == other.item;
-    }
-  };
-  struct ObKeyHash {
-    size_t operator()(const ObKey& key) const {
-      return std::hash<int64_t>()(key.txn * 1000003 + key.item);
-    }
+  /// Transaction state that outlives the client's TxnRun: a finished
+  /// transaction still occupies forward-list slots until every one of them
+  /// has been forwarded. Only then is it *drained*: it leaves the
+  /// precedence graph and its state is erased, so any later message for it
+  /// (a reader release reaching an aborted writer that passed through
+  /// without waiting) finds no state and is dropped.
+  struct TxnState {
+    int32_t client_index = 0;
+    bool finished = false;
+    bool committed = false;
+    int32_t slots_outstanding = 0;
+    /// One obligation per dispatched slot, in dispatch order (a
+    /// transaction touches a handful of distinct items).
+    std::vector<Obligation> slots;
+
+    /// The slot of `item`; null before its window was dispatched.
+    Obligation* SlotOf(ItemId item);
   };
 
   // --- window-manager callbacks (server side) -------------------------
@@ -132,6 +125,10 @@ class G2plEngine : public ShardedEngineBase {
   /// owner is alive and this slot satisfies its current operation.
   void MaybeGrant(TxnId txn, ItemId item, Obligation& ob);
 
+  /// Records a dispatched slot of `item` for `txn` (whose client is
+  /// `client_index`).
+  void AddSlot(TxnId txn, int32_t client_index, ItemId item);
+
   /// Forwards the slot if its conditions hold (data present, txn finished,
   /// releases collected unless aborted).
   void TryForward(TxnId txn, ItemId item);
@@ -144,12 +141,13 @@ class G2plEngine : public ShardedEngineBase {
   /// Forwards every slot of the finished run's transaction, then drains it.
   void Finish(TxnRun& run, bool committed);
 
+  /// The state of `txn`, created on first use. Like every reference into
+  /// txns_, it is invalid once a transaction is added or drained.
   TxnState& EnsureTxn(TxnId txn, int32_t client_index);
 
   std::unique_ptr<core::ShardCoordinator> coordinator_;
   std::vector<std::unique_ptr<core::WindowManager>> wms_;
-  std::unordered_map<TxnId, TxnState> txns_;
-  std::unordered_map<ObKey, Obligation, ObKeyHash> obligations_;
+  TxnMap<TxnState> txns_;
 };
 
 }  // namespace gtpl::proto

@@ -106,10 +106,12 @@ void ShardedEngineBase::StartClassic(TxnRun& run,
                         participants = std::move(participants)] {
     TxnRun* current = FindRun(txn);
     if (current == nullptr || current->finished || current->doomed) {
-      commits_.erase(txn);
+      commits_.Erase(txn);
       return;
     }
-    commits_.at(txn).sent_time = simulator().Now();
+    CommitCtx* pending = commits_.Find(txn);
+    GTPL_CHECK(pending != nullptr);
+    pending->sent_time = simulator().Now();
     for (int32_t shard : participants) {
       network().Send(from, ServerSiteOf(shard), "prepare", [this, shard, txn] {
         OnPrepareArrived(shard, txn, /*speculative=*/false);
@@ -127,8 +129,8 @@ void ShardedEngineBase::PreRequestHook(TxnRun& run) {
   if (config().commit_path != CommitPath::kEarly || num_servers() <= 1) {
     return;
   }
-  auto [it, inserted] = early_.try_emplace(run.id);
-  EarlyCtx& early = it->second;
+  auto [found, inserted] = early_.TryEmplace(run.id);
+  EarlyCtx& early = *found;
   if (inserted) {
     for (size_t i = 0; i < run.spec.ops.size(); ++i) {
       early.last_touch[ShardOf(run.spec.ops[i].item)] = i;
@@ -164,10 +166,10 @@ void ShardedEngineBase::StartEarly(TxnRun& run,
   auto begin_wait = [this, txn, participants = std::move(participants)] {
     TxnRun* current = FindRun(txn);
     if (current == nullptr || current->finished || current->doomed) return;
-    auto early_it = early_.find(txn);
-    GTPL_CHECK(early_it != early_.end() && early_it->second.active)
+    const EarlyCtx* early = early_.Find(txn);
+    GTPL_CHECK(early != nullptr && early->active)
         << "kEarly commit without speculative prepares";
-    GTPL_CHECK_EQ(early_it->second.prepares_sent,
+    GTPL_CHECK_EQ(early->prepares_sent,
                   static_cast<int32_t>(participants.size()));
     CommitCtx ctx;
     ctx.participants = participants;
@@ -176,7 +178,7 @@ void ShardedEngineBase::StartEarly(TxnRun& run,
     ctx.prepares_pending = 0;  // all prepares were speculative; sub-span 0
     int32_t have = 0;
     for (int32_t shard : participants) {
-      have += early_it->second.votes.count(shard) > 0 ? 1 : 0;
+      have += early->votes.count(shard) > 0 ? 1 : 0;
     }
     ctx.votes_pending = static_cast<int32_t>(participants.size()) - have;
     ctx.flights = ctx.votes_pending == 0 ? 0 : 1;
@@ -287,10 +289,12 @@ void ShardedEngineBase::StartCoord(TxnRun& run,
   auto send_handoff = [this, txn, from, coord_shard] {
     TxnRun* current = FindRun(txn);
     if (current == nullptr || current->finished || current->doomed) {
-      commits_.erase(txn);
+      commits_.Erase(txn);
       return;
     }
-    commits_.at(txn).sent_time = simulator().Now();
+    CommitCtx* pending = commits_.Find(txn);
+    GTPL_CHECK(pending != nullptr);
+    pending->sent_time = simulator().Now();
     network().Send(from, ServerSiteOf(coord_shard), "commit-handoff",
                    [this, coord_shard, txn] {
                      OnHandoffArrived(coord_shard, txn);
@@ -306,12 +310,12 @@ void ShardedEngineBase::StartCoord(TxnRun& run,
 void ShardedEngineBase::OnHandoffArrived(int32_t coord_shard, TxnId txn) {
   TxnRun* run = FindRun(txn);
   if (run == nullptr || run->finished || run->doomed) {
-    commits_.erase(txn);  // no votes will ever tally
+    commits_.Erase(txn);  // no votes will ever tally
     return;
   }
-  auto it = commits_.find(txn);
-  GTPL_CHECK(it != commits_.end()) << "handoff without a commit context";
-  const std::vector<int32_t> participants = it->second.participants;
+  const CommitCtx* ctx = commits_.Find(txn);
+  GTPL_CHECK(ctx != nullptr) << "handoff without a commit context";
+  const std::vector<int32_t> participants = ctx->participants;
   // Fan the prepares over the (fast) server mesh; the coordinator's own
   // shard prepares locally below — never through the network, which would
   // charge a self-latency the real system does not pay.
@@ -334,13 +338,13 @@ void ShardedEngineBase::OnAckArrived(TxnId txn) {
 }
 
 bool ShardedEngineBase::RemoteCoordinated(TxnId txn) const {
-  return remote_decided_.count(txn) > 0;
+  return remote_decided_.Contains(txn);
 }
 
 void ShardedEngineBase::OnTxnClosed(const TxnRun& run) {
-  commits_.erase(run.id);
-  early_.erase(run.id);
-  remote_decided_.erase(run.id);
+  commits_.Erase(run.id);
+  early_.Erase(run.id);
+  remote_decided_.Erase(run.id);
 }
 
 void ShardedEngineBase::OnPrepareArrived(int32_t shard, TxnId txn,
@@ -365,14 +369,12 @@ void ShardedEngineBase::OnPrepareArrived(int32_t shard, TxnId txn,
   if (run == nullptr) return;  // coordinator already moved on; drop the vote
   SiteId vote_to = run->site();
   if (!speculative) {
-    auto it = commits_.find(txn);
-    if (it != commits_.end()) {
-      CommitCtx& ctx = it->second;
-      if (--ctx.prepares_pending == 0 && !run->finished) {
+    if (CommitCtx* ctx = commits_.Find(txn)) {
+      if (--ctx->prepares_pending == 0 && !run->finished) {
         // Last prepare of the fan-out landed: close the prepare sub-span.
-        run->span.commit_prepare = simulator().Now() - ctx.sent_time;
+        run->span.commit_prepare = simulator().Now() - ctx->sent_time;
       }
-      vote_to = ctx.vote_site;
+      vote_to = ctx->vote_site;
     }
   }
   const SiteId vote_from = ServerSiteOf(shard);
@@ -394,29 +396,28 @@ void ShardedEngineBase::OnVoteArrived(TxnId txn, int32_t shard, bool yes) {
     event.flag = yes;
     tracer().Emit(std::move(event));
   }
-  auto it = commits_.find(txn);
-  if (it == commits_.end()) {
+  CommitCtx* ctx = commits_.Find(txn);
+  if (ctx == nullptr) {
     // kEarly: a speculative vote arriving before the commit point. Bank it
     // for StartEarly's tally; votes of dead runs are dropped.
-    auto early_it = early_.find(txn);
-    if (early_it == early_.end() || !early_it->second.active) return;
+    EarlyCtx* early = early_.Find(txn);
+    if (early == nullptr || !early->active) return;
     TxnRun* run = FindRun(txn);
     if (run == nullptr || run->finished || run->doomed) return;
-    if (yes) early_it->second.votes.insert(shard);
+    if (yes) early->votes.insert(shard);
     return;
   }
-  CommitCtx& ctx = it->second;
-  ctx.all_yes = ctx.all_yes && yes;
-  if (--ctx.votes_pending > 0) return;
+  ctx->all_yes = ctx->all_yes && yes;
+  if (--ctx->votes_pending > 0) return;
   FinishVotedCommit(txn);
 }
 
 void ShardedEngineBase::FinishVotedCommit(TxnId txn) {
-  auto it = commits_.find(txn);
-  GTPL_CHECK(it != commits_.end());
-  const bool all_yes = it->second.all_yes;
-  const CommitCtx ctx = std::move(it->second);
-  commits_.erase(it);
+  CommitCtx* found = commits_.Find(txn);
+  GTPL_CHECK(found != nullptr);
+  const bool all_yes = found->all_yes;
+  const CommitCtx ctx = std::move(*found);
+  commits_.Erase(txn);
   TxnRun* run = FindRun(txn);
   if (run == nullptr || run->finished || run->doomed) return;
   if (!all_yes) {
@@ -440,7 +441,7 @@ void ShardedEngineBase::FinishVotedCommit(TxnId txn) {
   // in parallel — or, with a remote coordinator, after the ack flies home.
   const SiteId decision_from =
       ctx.coord_shard >= 0 ? ServerSiteOf(ctx.coord_shard) : run->site();
-  if (ctx.coord_shard >= 0) remote_decided_.insert(txn);
+  if (ctx.coord_shard >= 0) remote_decided_.Insert(txn);
   for (int32_t participant : ctx.participants) {
     if (participant == ctx.coord_shard) {
       OnDecisionArrived(participant, txn);  // the coordinator's own shard

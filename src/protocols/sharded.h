@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/txn_map.h"
 #include "protocols/engine.h"
 
 namespace gtpl::proto {
@@ -193,11 +194,11 @@ class ShardedEngineBase : public EngineBase {
   void FinishVotedCommit(TxnId txn);
 
   int32_t items_per_shard_ = 1;  // range routing stride
-  std::unordered_map<TxnId, CommitCtx> commits_;
-  std::unordered_map<TxnId, EarlyCtx> early_;
+  TxnMap<CommitCtx> commits_;
+  TxnMap<EarlyCtx> early_;
   /// Txns whose decisions fanned out from a remote coordinator and whose
   /// runs have not closed yet (RemoteCoordinated).
-  std::unordered_set<TxnId> remote_decided_;
+  TxnSet remote_decided_;
 };
 
 }  // namespace gtpl::proto

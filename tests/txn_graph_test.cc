@@ -370,5 +370,63 @@ TEST(TxnGraphTest, EpochWrapClearsStaleStamps) {
   }
 }
 
+/// ReachableAmong's early exits (no candidate with a node; every stamped
+/// candidate found) must not change its result: on random DAGs, the hits
+/// equal a full depth-first search that visits out-edges in insertion
+/// order and keeps the candidates it discovers, and their set equals an
+/// exhaustive reachability search. Candidate lists mix in the source,
+/// duplicates and ids without a node.
+TEST(TxnGraphTest, ReachableAmongMatchesExhaustiveSearch) {
+  constexpr TxnId kNodes = 24;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    rng::Rng rng(seed);
+    db::TxnGraph graph;
+    // Out-edges per node in insertion order (the graph's traversal order).
+    std::map<TxnId, std::vector<TxnId>> out;
+    Edges edges;
+    const int num_edges = static_cast<int>(rng.UniformInt(0, 60));
+    for (int e = 0; e < num_edges; ++e) {
+      const TxnId a = rng.UniformInt(1, kNodes - 1);
+      const TxnId b = rng.UniformInt(a + 1, kNodes);  // a < b: acyclic
+      if (graph.AddEdge(a, b, 1)) out[a].push_back(b);
+      edges[{a, b}] = 1;
+    }
+    for (int query = 0; query < 30; ++query) {
+      const TxnId from = rng.UniformInt(1, kNodes);
+      std::vector<TxnId> candidates;
+      const int num_candidates = static_cast<int>(rng.UniformInt(0, 8));
+      for (int c = 0; c < num_candidates; ++c) {
+        // Up to kNodes + 4: a few ids that never get a node.
+        candidates.push_back(rng.Bernoulli(0.1) ? from
+                                                : rng.UniformInt(1, kNodes + 4));
+      }
+      const std::set<TxnId> wanted(candidates.begin(), candidates.end());
+      std::vector<TxnId> expected;
+      std::set<TxnId> visited{from};
+      std::vector<TxnId> stack{from};
+      while (!stack.empty()) {
+        const TxnId node = stack.back();
+        stack.pop_back();
+        for (TxnId to : out[node]) {
+          if (!visited.insert(to).second) continue;
+          if (wanted.count(to) > 0) expected.push_back(to);
+          stack.push_back(to);
+        }
+      }
+      std::set<TxnId> exhaustive;
+      for (TxnId t : ReachableFrom(edges, from)) {
+        if (wanted.count(t) > 0) exhaustive.insert(t);
+      }
+      const std::vector<TxnId> hits = graph.ReachableAmong(from, candidates);
+      ASSERT_EQ(hits, expected) << "from " << from;
+      ASSERT_EQ(AsSet(hits), exhaustive) << "from " << from;
+      const std::unordered_set<TxnId> as_set(candidates.begin(),
+                                             candidates.end());
+      ASSERT_EQ(graph.ReachableAmong(from, as_set), expected) << "from " << from;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gtpl
