@@ -1,8 +1,6 @@
 #include "protocols/metrics.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "db/txn_graph.h"
@@ -23,32 +21,64 @@ double RunResult::Throughput() const {
 
 bool HistoryIsSerializable(const std::vector<CommittedTxn>& history,
                            std::string* explanation) {
-  // Per item: version -> writing txn, and version -> readers.
-  struct ItemHistory {
-    std::map<Version, TxnId> writers;           // sorted by version
-    std::map<Version, std::vector<TxnId>> readers_of;  // keyed by version read
+  // Every committed write as (item, version written, writer), later sorted
+  // by item and version. Flat vectors instead of per-item maps: the checker
+  // runs on whole recorded histories, where node-based maps cost several
+  // times the memory.
+  struct Write {
+    ItemId item;
+    Version version;
+    TxnId txn;
   };
-  std::unordered_map<ItemId, ItemHistory> per_item;
+  std::vector<Write> writes;
   for (const CommittedTxn& txn : history) {
     for (const OpRecord& op : txn.ops) {
-      ItemHistory& h = per_item[op.item];
       if (op.mode == LockMode::kExclusive) {
-        auto [it, inserted] = h.writers.emplace(op.version_written, txn.id);
-        if (!inserted) {
-          if (explanation != nullptr) {
-            *explanation = "two committed writers produced version " +
-                           std::to_string(op.version_written) + " of item " +
-                           std::to_string(op.item);
-          }
-          return false;
-        }
-        // A writer also observes the version it overwrites.
-        h.readers_of[op.version_read];  // ensure key exists (no self edge)
-      } else {
-        h.readers_of[op.version_read].push_back(txn.id);
+        writes.push_back(Write{op.item, op.version_written, txn.id});
       }
     }
   }
+  const auto by_version = [](const Write& a, const Write& b) {
+    return a.item != b.item ? a.item < b.item : a.version < b.version;
+  };
+  {
+    // Position in history order of every write, to report the first
+    // duplicate the way a scan of the history would meet it.
+    std::vector<size_t> order(writes.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return by_version(writes[a], writes[b]);
+    });
+    size_t duplicate = writes.size();  // history position of the first repeat
+    for (size_t i = 1; i < order.size(); ++i) {
+      const Write& prev = writes[order[i - 1]];
+      const Write& cur = writes[order[i]];
+      if (prev.item == cur.item && prev.version == cur.version) {
+        duplicate = std::min(duplicate, order[i]);
+      }
+    }
+    if (duplicate < writes.size()) {
+      if (explanation != nullptr) {
+        *explanation = "two committed writers produced version " +
+                       std::to_string(writes[duplicate].version) +
+                       " of item " + std::to_string(writes[duplicate].item);
+      }
+      return false;
+    }
+  }
+  std::sort(writes.begin(), writes.end(), by_version);
+  // The committed write of `version` of `item`, or of the first version
+  // after it with `after`; null when there is none.
+  const auto writer_of = [&writes, &by_version](ItemId item, Version version,
+                                                bool after) -> const Write* {
+    const Write key{item, version, kInvalidTxn};
+    const auto it =
+        after ? std::upper_bound(writes.begin(), writes.end(), key, by_version)
+              : std::lower_bound(writes.begin(), writes.end(), key, by_version);
+    if (it == writes.end() || it->item != item) return nullptr;
+    if (!after && it->version != version) return nullptr;
+    return &*it;
+  };
 
   // The serialization graph, on the same dense graph as the protocols'
   // precedence and waits-for graphs.
@@ -56,37 +86,25 @@ bool HistoryIsSerializable(const std::vector<CommittedTxn>& history,
   auto add_edge = [&graph](TxnId a, TxnId b) {
     if (a != b) graph.AddEdge(a, b, 1);
   };
-  for (const auto& [item, h] : per_item) {
-    // Version order between consecutive committed writers, and the
-    // read/write dependencies around each version.
-    for (auto it = h.writers.begin(); it != h.writers.end(); ++it) {
-      auto next = std::next(it);
-      if (next != h.writers.end()) add_edge(it->second, next->second);
+  // Version order between consecutive committed writers of an item.
+  for (size_t i = 1; i < writes.size(); ++i) {
+    if (writes[i - 1].item == writes[i].item) {
+      add_edge(writes[i - 1].txn, writes[i].txn);
     }
-    for (const auto& [version, readers] : h.readers_of) {
-      // writer(version) -> readers (reads-from).
-      if (auto w = h.writers.find(version); w != h.writers.end()) {
-        for (TxnId r : readers) add_edge(w->second, r);
-      }
-      // readers -> writer of the next version (read happens before
-      // overwrite).
-      auto overwriter = h.writers.upper_bound(version);
-      if (overwriter != h.writers.end()) {
-        for (TxnId r : readers) add_edge(r, overwriter->second);
-      }
-    }
-    // Writers read the version they overwrite; add writer-observed edges.
   }
-  // Writers' own reads: writer of v+1 read version v, so writer(v) ->
-  // writer(v+1) is already covered by version order when versions are
-  // consecutive; non-consecutive gaps can only come from aborted in-between
-  // writers, which never install. Handle the observed-read explicitly:
   for (const CommittedTxn& txn : history) {
     for (const OpRecord& op : txn.ops) {
-      if (op.mode != LockMode::kExclusive) continue;
-      const ItemHistory& h = per_item[op.item];
-      if (auto w = h.writers.find(op.version_read); w != h.writers.end()) {
-        add_edge(w->second, txn.id);
+      // Reads-from: the writer of the version read precedes the reader
+      // (a writer reads the version it overwrites, too).
+      if (const Write* w = writer_of(op.item, op.version_read, false)) {
+        add_edge(w->txn, txn.id);
+      }
+      // A read happens before the next version overwrites it (writers are
+      // ordered by the version order above).
+      if (op.mode == LockMode::kShared) {
+        if (const Write* next = writer_of(op.item, op.version_read, true)) {
+          add_edge(txn.id, next->txn);
+        }
       }
     }
   }
