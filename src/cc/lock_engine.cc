@@ -170,9 +170,9 @@ void LockCcEngine::DoCommit(TxnRun& run) {
   // commit; single-shard transactions send exactly the one message the
   // single-server engine sends). Shards that already released at prepare
   // time (release_at_prepare) are skipped — they have nothing left to do.
-  std::vector<std::vector<Update>> updates_by(
-      static_cast<size_t>(num_servers()));
-  std::vector<bool> touched(static_cast<size_t>(num_servers()), false);
+  std::vector<std::vector<Update>>& updates_by = UpdatesByShardScratch();
+  std::vector<bool>& touched = commit_touched_;
+  touched.assign(static_cast<size_t>(num_servers()), false);
   for (const proto::OpRecord& record : run.records) {
     const size_t shard = static_cast<size_t>(ShardOf(record.item));
     touched[shard] = true;
@@ -206,20 +206,29 @@ void LockCcEngine::DoCommit(TxnRun& run) {
   pending_releases_[txn] = participants;
   for (int32_t shard = 0; shard < num_servers(); ++shard) {
     if (!touched[static_cast<size_t>(shard)]) continue;
-    std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
+    const std::vector<Update>& updates =
+        updates_by[static_cast<size_t>(shard)];
     const uint64_t payload =
         net::kControlPayload + net::kDataPayload * updates.size();
+    // The message carries a copy; the scratch keeps its capacity.
     network().Send(
         run.site(), ServerSiteOf(shard), "release",
-        [this, shard, txn, updates = std::move(updates)] {
+        [this, shard, txn, updates = updates] {
           ServerOnRelease(shard, txn, updates);
         },
         payload);
   }
 }
 
+std::vector<std::vector<LockCcEngine::Update>>&
+LockCcEngine::UpdatesByShardScratch() {
+  for (std::vector<Update>& updates : commit_updates_) updates.clear();
+  commit_updates_.resize(static_cast<size_t>(num_servers()));
+  return commit_updates_;
+}
+
 void LockCcEngine::ServerOnRelease(int32_t shard, TxnId txn,
-                                   std::vector<Update> updates) {
+                                   const std::vector<Update>& updates) {
   GTPL_CHECK(!server_aborted_.Contains(txn))
       << "a doomed transaction committed";
   if (tracer().enabled()) {
@@ -376,8 +385,7 @@ void LockCcEngine::DoCommitSticky(TxnRun& run) {
   // stays authoritative for the next grant. The client cache's version is
   // bumped here so later local transactions read this site's own writes.
   // Read-only shards need no message at all — the read lease simply stays.
-  std::vector<std::vector<Update>> updates_by(
-      static_cast<size_t>(num_servers()));
+  std::vector<std::vector<Update>>& updates_by = UpdatesByShardScratch();
   for (const proto::OpRecord& record : run.records) {
     if (record.mode != LockMode::kExclusive) continue;
     cache.UpdateVersion(record.item, record.version_written);
@@ -399,13 +407,14 @@ void LockCcEngine::DoCommitSticky(TxnRun& run) {
   } else {
     pending_releases_[txn] = participants;
     for (int32_t shard = 0; shard < num_servers(); ++shard) {
-      std::vector<Update>& updates = updates_by[static_cast<size_t>(shard)];
+      const std::vector<Update>& updates =
+          updates_by[static_cast<size_t>(shard)];
       if (updates.empty()) continue;
       const uint64_t payload =
           net::kControlPayload + net::kDataPayload * updates.size();
       network().Send(
           run.site(), ServerSiteOf(shard), "release",
-          [this, shard, txn, updates = std::move(updates)] {
+          [this, shard, txn, updates = updates] {
             ServerOnRelease(shard, txn, updates);
           },
           payload);

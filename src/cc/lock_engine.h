@@ -91,7 +91,10 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
 
   void ServerOnRequest(int32_t shard, TxnId txn, SiteId client_site,
                        ItemId item, LockMode mode);
-  void ServerOnRelease(int32_t shard, TxnId txn, std::vector<Update> updates);
+  void ServerOnRelease(int32_t shard, TxnId txn,
+                       const std::vector<Update>& updates);
+  /// Commit scratch: one emptied update list per shard.
+  std::vector<std::vector<Update>>& UpdatesByShardScratch();
   void SendGrant(int32_t shard, TxnId txn, ItemId item, LockMode mode);
   /// Install + release on `shard` ahead of the client's release message:
   /// at prepare time (release_at_prepare) or at decision arrival (kCoord).
@@ -159,6 +162,9 @@ class LockCcEngine : public proto::ShardedEngineBase, public PolicyHost {
   // Shard whose blocked request the policy is currently resolving; abort
   // decisions are attributed to its server site.
   int32_t current_shard_ = 0;
+  // DoCommit scratch, reused across commits.
+  std::vector<std::vector<Update>> commit_updates_;
+  std::vector<bool> commit_touched_;
   // Per-client item -> version data caches (client_data_cache only).
   std::vector<std::unordered_map<ItemId, Version>> data_caches_;
 

@@ -75,7 +75,7 @@ void OccEngine::StartCommit(TxnRun& run) {
   GTPL_CHECK(!run.finished);
   GTPL_CHECK(!run.doomed);
   const TxnId txn = run.id;
-  std::vector<int32_t> participants = ParticipantsOf(run);
+  const std::vector<int32_t>& participants = ParticipantsOf(run);
   if (participants.size() <= 1) {
     GTPL_CHECK_EQ(participants.size(), 1u);
     SendValidate(participants[0], run, /*multi=*/false);
@@ -92,7 +92,7 @@ void OccEngine::StartCommit(TxnRun& run) {
   ctx.prepares_pending = static_cast<int32_t>(participants.size());
   ctx.participants = participants;
   votes_[txn] = std::move(ctx);
-  auto send_validates = [this, txn, participants = std::move(participants)] {
+  auto send_validates = [this, txn, participants = participants] {
     TxnRun* current = FindRun(txn);
     if (current == nullptr || current->finished || current->doomed) {
       votes_.Erase(txn);
@@ -360,7 +360,7 @@ void OccEngine::OnClientAborted(TxnRun& run) {
     }
   }
   votes_.Erase(run.id);
-  std::vector<int32_t> participants = ParticipantsOf(run);
+  const std::vector<int32_t>& participants = ParticipantsOf(run);
   if (participants.size() <= 1) return;  // nothing was reserved
   // Shards that voted yes before the failing shard doomed the transaction
   // still hold reservations; release them. Idempotent: a shard that never

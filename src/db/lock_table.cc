@@ -31,16 +31,36 @@ LockResult LockTable::Request(TxnId txn, ItemId item, LockMode mode) {
   // FIFO fairness: grant only if compatible with holders and nothing waits.
   if (locks.waiting.empty() && !ConflictsWithGranted(locks, mode)) {
     locks.granted.push_back(LockRequest{txn, mode});
-    held_[txn].push_back(item);
+    ListOf(held_, txn).push_back(item);
     return LockResult::kGranted;
   }
   locks.waiting.push_back(LockRequest{txn, mode});
-  queued_[txn].push_back(item);
+  ListOf(queued_, txn).push_back(item);
   return LockResult::kWaiting;
 }
 
+std::vector<ItemId>& LockTable::ListOf(TxnMap<std::vector<ItemId>>& lists,
+                                       TxnId txn) {
+  auto [list, inserted] = lists.TryEmplace(txn);
+  if (inserted && !spare_lists_.empty()) {
+    *list = std::move(spare_lists_.back());
+    spare_lists_.pop_back();
+  }
+  return *list;
+}
+
+void LockTable::DropList(TxnMap<std::vector<ItemId>>& lists, TxnId txn) {
+  std::vector<ItemId>* list = lists.Find(txn);
+  if (list == nullptr) return;
+  list->clear();
+  spare_lists_.push_back(std::move(*list));
+  lists.Erase(txn);
+}
+
 void LockTable::ReleaseAll(TxnId txn, const GrantCallback& on_grant) {
-  std::vector<ItemId> touched;
+  GTPL_CHECK(!releasing_) << "ReleaseAll re-entered from a grant callback";
+  releasing_ = true;
+  touched_.clear();
   if (const std::vector<ItemId>* queued = queued_.Find(txn)) {
     for (ItemId item : *queued) {
       auto& waiting = items_[static_cast<size_t>(item)].waiting;
@@ -49,26 +69,26 @@ void LockTable::ReleaseAll(TxnId txn, const GrantCallback& on_grant) {
           [txn](const LockRequest& r) { return r.txn == txn; });
       GTPL_CHECK(pos != waiting.end());
       waiting.erase(pos);
-      touched.push_back(item);
+      touched_.push_back(item);
     }
-    queued_.Erase(txn);
+    DropList(queued_, txn);
   }
-  if (std::vector<ItemId>* held = held_.Find(txn)) {
-    std::vector<ItemId> released = std::move(*held);
-    held_.Erase(txn);
-    for (ItemId item : released) {
+  if (const std::vector<ItemId>* held = held_.Find(txn)) {
+    for (ItemId item : *held) {
       auto& granted = items_[static_cast<size_t>(item)].granted;
       auto pos =
           std::find_if(granted.begin(), granted.end(),
                        [txn](const LockRequest& r) { return r.txn == txn; });
       GTPL_CHECK(pos != granted.end());
       granted.erase(pos);
-      touched.push_back(item);
+      touched_.push_back(item);
     }
+    DropList(held_, txn);
   }
   // Removing a queued request can unblock waiters behind it even when no
   // lock was held on that item, so promote on every touched item.
-  for (ItemId item : touched) PromoteWaiters(item, on_grant);
+  for (ItemId item : touched_) PromoteWaiters(item, on_grant);
+  releasing_ = false;
 }
 
 void LockTable::PromoteWaiters(ItemId item, const GrantCallback& on_grant) {
@@ -79,31 +99,31 @@ void LockTable::PromoteWaiters(ItemId item, const GrantCallback& on_grant) {
     LockRequest granted = head;
     locks.waiting.pop_front();
     locks.granted.push_back(granted);
-    held_[granted.txn].push_back(item);
+    ListOf(held_, granted.txn).push_back(item);
     std::vector<ItemId>* queue_list = queued_.Find(granted.txn);
     GTPL_CHECK(queue_list != nullptr);
     queue_list->erase(
         std::find(queue_list->begin(), queue_list->end(), item));
-    if (queue_list->empty()) queued_.Erase(granted.txn);
+    if (queue_list->empty()) DropList(queued_, granted.txn);
     on_grant(granted.txn, item, granted.mode);
   }
 }
 
-std::vector<TxnId> LockTable::Blockers(TxnId txn, ItemId item) const {
+const std::vector<TxnId>& LockTable::Blockers(TxnId txn, ItemId item) const {
   const ItemLocks& locks = items_[static_cast<size_t>(item)];
   // Find the txn's queued position and mode.
   auto self = std::find_if(
       locks.waiting.begin(), locks.waiting.end(),
       [txn](const LockRequest& r) { return r.txn == txn; });
   GTPL_CHECK(self != locks.waiting.end()) << "Blockers() for non-waiter";
-  std::vector<TxnId> blockers;
+  blockers_.clear();
   for (const LockRequest& holder : locks.granted) {
-    if (!Compatible(holder.mode, self->mode)) blockers.push_back(holder.txn);
+    if (!Compatible(holder.mode, self->mode)) blockers_.push_back(holder.txn);
   }
   for (auto it = locks.waiting.begin(); it != self; ++it) {
-    if (!Compatible(it->mode, self->mode)) blockers.push_back(it->txn);
+    if (!Compatible(it->mode, self->mode)) blockers_.push_back(it->txn);
   }
-  return blockers;
+  return blockers_;
 }
 
 bool LockTable::Holds(TxnId txn, ItemId item) const {

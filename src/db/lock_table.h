@@ -46,13 +46,16 @@ class LockTable {
   LockResult Request(TxnId txn, ItemId item, LockMode mode);
 
   /// Releases every lock and queued request of `txn`, granting any newly
-  /// unblocked waiters via `on_grant`.
+  /// unblocked waiters via `on_grant`. `on_grant` must not call ReleaseAll
+  /// on the same table.
   void ReleaseAll(TxnId txn, const GrantCallback& on_grant);
 
   /// Transactions whose grant `txn` is currently waiting behind on `item`:
   /// conflicting holders plus conflicting earlier waiters. Used to build the
-  /// waits-for graph.
-  std::vector<TxnId> Blockers(TxnId txn, ItemId item) const;
+  /// waits-for graph. The result is the table's scratch vector: the
+  /// reference stays valid, and its contents unchanged, until the next
+  /// Blockers call on this table.
+  const std::vector<TxnId>& Blockers(TxnId txn, ItemId item) const;
 
   /// True iff `txn` currently holds `item` in any mode.
   bool Holds(TxnId txn, ItemId item) const;
@@ -84,10 +87,21 @@ class LockTable {
   /// Grants the maximal compatible queue prefix after a release.
   void PromoteWaiters(ItemId item, const GrantCallback& on_grant);
 
+  /// `txn`'s item list in `lists`, created from a spare vector if absent.
+  std::vector<ItemId>& ListOf(TxnMap<std::vector<ItemId>>& lists, TxnId txn);
+  /// Removes `txn`'s list from `lists`, keeping its buffer as a spare.
+  void DropList(TxnMap<std::vector<ItemId>>& lists, TxnId txn);
+
   std::vector<ItemLocks> items_;
   // txn -> items it holds (for O(1) release); waiting items tracked too.
   TxnMap<std::vector<ItemId>> held_;
   TxnMap<std::vector<ItemId>> queued_;
+  // Emptied item lists whose capacity the next transactions reuse, so the
+  // table stops allocating once it has seen its peak concurrency.
+  std::vector<std::vector<ItemId>> spare_lists_;
+  std::vector<ItemId> touched_;  // ReleaseAll's items to promote
+  mutable std::vector<TxnId> blockers_;  // Blockers' result
+  bool releasing_ = false;  // inside ReleaseAll (re-entry is a bug)
 };
 
 }  // namespace gtpl::db

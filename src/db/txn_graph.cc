@@ -191,7 +191,9 @@ bool TxnGraph::CanReach(TxnId from, TxnId to) const {
 
 std::vector<TxnId> TxnGraph::CycleThrough(TxnId start) const {
   const Slot origin = Find(start);
-  if (origin == kNoSlot) return {};
+  // A cycle through `start` ends in an edge into it: without in-edges there
+  // is none, and the search below would only walk the reachable set.
+  if (origin == kNoSlot || nodes_[origin].in.empty()) return {};
   const uint32_t epoch = NextEpoch();
   visited_[origin] = epoch;
   // path_ is the current DFS path from `start`; each entry remembers which

@@ -5,6 +5,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -94,6 +96,17 @@ class Network {
   void Send(SiteId from, SiteId to, std::string label,
             std::function<void()> on_deliver,
             uint64_t payload = kControlPayload);
+
+  /// Send for a closure: packs it into the simulator's callback slab as
+  /// Simulator::Schedule does, then calls the std::function overload.
+  template <typename F, typename = std::enable_if_t<sim::kIsClosure<F>>>
+  void Send(SiteId from, SiteId to, std::string label, F&& on_deliver,
+            uint64_t payload = kControlPayload) {
+    Send(from, to, std::move(label),
+         sim::PackClosure(simulator_->callback_slab(),
+                          std::forward<F>(on_deliver)),
+         payload);
+  }
 
   /// Declares the site layout for direction accounting: sites kServerSite
   /// and every site > `num_clients` are data servers (the sharded engines'

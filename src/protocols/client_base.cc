@@ -178,25 +178,35 @@ RunResult EngineBase::Run() {
 }
 
 void EngineBase::BeginTxn(ClientState& client) {
-  auto run = std::make_unique<TxnRun>();
-  run->id = next_txn_id_++;
-  run->client_index = client.index;
-  run->spec = client.generator->NextTxn();
-  run->spec.id = run->id;
-  run->start_time = sim_.Now();
-  if (client.current != nullptr) txn_client_.Erase(client.current->id);
-  txn_client_[run->id] = client.index;
-  client.current = std::move(run);
-  client.current->request_time = sim_.Now();
+  if (client.current == nullptr) {
+    client.current = std::make_unique<TxnRun>();
+  } else {
+    // Reuse the finished run: fresh fields, but the records buffer keeps
+    // its capacity.
+    TxnRun& done = *client.current;
+    txn_client_.Erase(done.id);
+    std::vector<OpRecord> records = std::move(done.records);
+    records.clear();
+    done = TxnRun{};
+    done.records = std::move(records);
+  }
+  TxnRun& run = *client.current;
+  run.id = next_txn_id_++;
+  run.client_index = client.index;
+  run.spec = client.generator->NextTxn();
+  run.spec.id = run.id;
+  run.start_time = sim_.Now();
+  txn_client_[run.id] = client.index;
+  run.request_time = sim_.Now();
   if (tracer_.enabled()) {
     obs::TraceEvent event;
     event.kind = obs::EventKind::kTxnBegin;
-    event.txn = client.current->id;
-    event.site = client.current->site();
-    event.payload = static_cast<int64_t>(client.current->spec.ops.size());
+    event.txn = run.id;
+    event.site = run.site();
+    event.payload = static_cast<int64_t>(run.spec.ops.size());
     tracer_.Emit(std::move(event));
   }
-  IssueRequest(*client.current);
+  IssueRequest(run);
 }
 
 void EngineBase::ScheduleNextTxn(ClientState& client) {

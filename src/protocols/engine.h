@@ -88,6 +88,7 @@ class EngineBase {
   struct ClientState {
     int32_t index = 0;
     std::unique_ptr<workload::WorkloadGenerator> generator;
+    /// The client's transaction; BeginTxn reuses the finished one.
     std::unique_ptr<TxnRun> current;
     int32_t restart_streak = 0;  // consecutive aborts (drives g-2PL aging)
     std::unique_ptr<db::WriteAheadLog> wal;

@@ -26,9 +26,10 @@ int32_t ShardedEngineBase::ShardOf(ItemId item) const {
   return item % num_servers();
 }
 
-std::vector<int32_t> ShardedEngineBase::ParticipantsOf(
+const std::vector<int32_t>& ShardedEngineBase::ParticipantsOf(
     const TxnRun& run) const {
-  std::vector<int32_t> shards;
+  std::vector<int32_t>& shards = participants_;
+  shards.clear();
   for (const workload::Operation& op : run.spec.ops) {
     shards.push_back(ShardOf(op.item));
   }
@@ -49,7 +50,8 @@ std::vector<int32_t> ShardedEngineBase::WriteShardsOf(
 }
 
 void ShardedEngineBase::StartCommit(TxnRun& run) {
-  std::vector<int32_t> participants = ParticipantsOf(run);
+  // The by-value Start* parameters copy the scratch list.
+  const std::vector<int32_t>& participants = ParticipantsOf(run);
   if (participants.size() <= 1) {
     // Single-shard transaction: the ordinary commit path (the only path
     // when num_servers == 1).
@@ -60,24 +62,24 @@ void ShardedEngineBase::StartCommit(TxnRun& run) {
   GTPL_CHECK(!run.doomed);
   switch (config().commit_path) {
     case CommitPath::kClassic:
-      StartClassic(run, std::move(participants));
+      StartClassic(run, participants);
       return;
     case CommitPath::kEarly:
-      StartEarly(run, std::move(participants));
+      StartEarly(run, participants);
       return;
     case CommitPath::kFastPath:
       if (WriteShardsOf(run).size() <= 1) {
         StartFastPath(run, participants);
       } else {
-        StartClassic(run, std::move(participants));
+        StartClassic(run, participants);
       }
       return;
     case CommitPath::kCoord: {
       const int32_t coord = ChooseCoordinator(run, participants);
       if (coord < 0) {
-        StartClassic(run, std::move(participants));
+        StartClassic(run, participants);
       } else {
-        StartCoord(run, std::move(participants), coord);
+        StartCoord(run, participants, coord);
       }
       return;
     }

@@ -80,8 +80,9 @@ class ShardedEngineBase : public EngineBase {
   }
 
  protected:
-  /// Distinct shards `run`'s operations touch, ascending.
-  std::vector<int32_t> ParticipantsOf(const TxnRun& run) const;
+  /// Distinct shards `run`'s operations touch, ascending. The result is
+  /// engine scratch, valid until the next ParticipantsOf call.
+  const std::vector<int32_t>& ParticipantsOf(const TxnRun& run) const;
 
   /// Distinct shards `run` *writes*, ascending (kFastPath eligibility and
   /// the kCoord write-heaviest choice both key off the spec's write set,
@@ -194,6 +195,7 @@ class ShardedEngineBase : public EngineBase {
   void FinishVotedCommit(TxnId txn);
 
   int32_t items_per_shard_ = 1;  // range routing stride
+  mutable std::vector<int32_t> participants_;  // ParticipantsOf result
   TxnMap<CommitCtx> commits_;
   TxnMap<EarlyCtx> early_;
   /// Txns whose decisions fanned out from a remote coordinator and whose

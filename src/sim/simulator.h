@@ -3,8 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "common/types.h"
+#include "sim/callback_slab.h"
 #include "sim/event_queue.h"
 
 namespace gtpl::sim {
@@ -29,6 +32,15 @@ class Simulator {
   /// Schedules `action` to run `delay` ticks from now. delay >= 0; a zero
   /// delay runs after all currently pending same-tick events.
   void Schedule(SimTime delay, std::function<void()> action);
+
+  /// Schedule for a closure: packs it with PackClosure (into this
+  /// simulator's slab when it is too large for std::function's inline
+  /// buffer) and hands it to the std::function overload above, which every
+  /// event still passes through.
+  template <typename F, typename = std::enable_if_t<kIsClosure<F>>>
+  void Schedule(SimTime delay, F&& action) {
+    Schedule(delay, PackClosure(slab_, std::forward<F>(action)));
+  }
 
   /// Schedules `action` at absolute time `when` (>= Now()).
   void ScheduleAt(SimTime when, std::function<void()> action);
@@ -56,7 +68,14 @@ class Simulator {
 
   size_t pending_events() const { return queue_.size(); }
 
+  /// Holds the closures of pending events and in-flight messages; see
+  /// CallbackSlab.
+  CallbackSlab& callback_slab() { return slab_; }
+
  private:
+  // Declared before the queue, so the queue's std::functions (which may
+  // hold slab handles) are destroyed first.
+  CallbackSlab slab_;
   EventQueue queue_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;

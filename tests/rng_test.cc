@@ -151,6 +151,39 @@ TEST(DistributionsTest, SampleDistinctZero) {
   EXPECT_TRUE(SampleDistinct(rng, 5, 0).empty());
 }
 
+/// Reference: the partial Fisher-Yates shuffle over a materialized n-item
+/// pool. SampleDistinct, which never builds the pool, must match it draw
+/// for draw.
+std::vector<int32_t> DenseSampleDistinct(Rng& rng, int32_t n, int32_t k) {
+  std::vector<int32_t> pool(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) pool[static_cast<size_t>(i)] = i;
+  for (int32_t i = 0; i < k; ++i) {
+    const int64_t j = rng.UniformInt(i, n - 1);
+    std::swap(pool[static_cast<size_t>(i)], pool[static_cast<size_t>(j)]);
+  }
+  pool.resize(static_cast<size_t>(k));
+  return pool;
+}
+
+TEST(DistributionsTest, SampleDistinctMatchesTheDenseShuffle) {
+  for (const int32_t n : {1, 5, 25, 512, 8192}) {
+    for (const int32_t k : {0, 1, 5, n}) {
+      if (k > n) continue;
+      const uint64_t seeds = n == k && n > 25 ? 8 : 200;
+      for (uint64_t seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k
+                                        << " seed=" << seed);
+        Rng sparse_rng(seed);
+        Rng dense_rng(seed);
+        ASSERT_EQ(SampleDistinct(sparse_rng, n, k),
+                  DenseSampleDistinct(dense_rng, n, k));
+        // Same number of draws: the streams stay in step.
+        ASSERT_EQ(sparse_rng.Next64(), dense_rng.Next64());
+      }
+    }
+  }
+}
+
 TEST(DistributionsTest, ZipfThetaZeroIsUniform) {
   Rng rng(43);
   Zipf zipf(10, 0.0);

@@ -2,10 +2,17 @@
 
 #include "sim/simulator.h"
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/latency_model.h"
+#include "net/network.h"
+#include "sim/callback_slab.h"
 #include "sim/event_queue.h"
 
 namespace gtpl::sim {
@@ -191,6 +198,127 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   for (int i = 0; i < 5; ++i) sim.Schedule(i, [] {});
   sim.Run();
   EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+// --- CallbackSlab and the closure front-ends ---------------------------
+
+TEST(CallbackSlabTest, ClosureRunsExactlyOnce) {
+  Simulator sim;
+  int runs = 0;
+  std::string seen;
+  const std::string tag = "a label too long for the small-string buffer";
+  sim.Schedule(3, [&runs, &seen, tag] {
+    ++runs;
+    seen = tag;
+  });
+  EXPECT_EQ(sim.callback_slab().live(), 1u);
+  sim.Run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(seen, tag);
+  EXPECT_EQ(sim.callback_slab().live(), 0u);
+}
+
+TEST(CallbackSlabTest, NeverRunClosureIsReleasedWithTheSimulator) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    sim.Schedule(10, [token] { FAIL() << "never runs"; });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(sim.callback_slab().live(), 1u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(CallbackSlabTest, ClosureMayScheduleAndSendFromItsBody) {
+  Simulator sim;
+  net::Network network(&sim, std::make_unique<net::UniformLatency>(5));
+  std::vector<std::string> log;
+  // Each closure holds a std::string, so each one lives in the slab.
+  const auto note = [&log, &sim](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(sim.Now()));
+  };
+  sim.Schedule(1, [&, what = std::string("outer")] {
+    note(what);
+    sim.Schedule(2, [&, what = std::string("scheduled")] { note(what); });
+    network.Send(0, 1, "msg",
+                 [&, what = std::string("delivered")] { note(what); });
+    EXPECT_EQ(sim.callback_slab().live(), 3u);
+  });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"outer@1", "scheduled@3",
+                                           "delivered@6"}));
+  EXPECT_EQ(sim.callback_slab().live(), 0u);
+}
+
+TEST(CallbackSlabTest, OneChunkServesALongRun) {
+  Simulator sim;
+  int64_t fired = 0;
+  std::function<void(int64_t)> link = [&](int64_t id) {
+    // 24 bytes of captures: too large for std::function's inline buffer.
+    sim.Schedule(1, [&link, &fired, id] {
+      EXPECT_EQ(fired, id);
+      if (++fired < 100000) link(id + 1);
+    });
+  };
+  link(0);
+  sim.Run();
+  EXPECT_EQ(fired, 100000);
+  EXPECT_EQ(sim.callback_slab().num_chunks(), 1u);
+  EXPECT_EQ(sim.callback_slab().live(), 0u);
+}
+
+TEST(CallbackSlabTest, SmallTriviallyCopyableClosureBypassesTheSlab) {
+  Simulator sim;
+  int runs = 0;
+  int* counter = &runs;
+  sim.Schedule(1, [counter] { ++*counter; });
+  sim.Schedule(1, [counter, step = 1] { *counter += step; });
+  EXPECT_EQ(sim.callback_slab().live(), 0u);
+  EXPECT_EQ(sim.callback_slab().num_chunks(), 0u);
+  sim.Run();
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(CallbackSlabTest, ClosureLargerThanACellStaysAStdFunction) {
+  Simulator sim;
+  std::array<char, 2 * CallbackSlab::kCellBytes> big{};
+  big[0] = 'x';
+  char seen = 0;
+  sim.Schedule(1, [big, &seen] { seen = big[0]; });
+  EXPECT_EQ(sim.callback_slab().live(), 0u);
+  sim.Run();
+  EXPECT_EQ(seen, 'x');
+}
+
+TEST(CallbackSlabTest, ReusedCellRunsOnlyItsNewClosure) {
+  CallbackSlab slab;
+  std::vector<int> ran;
+  const std::string pad(40, 'p');
+  CallbackSlab::Handle first = slab.Emplace([&ran, pad] { ran.push_back(1); });
+  first();
+  CallbackSlab::Handle second =
+      slab.Emplace([&ran, pad] { ran.push_back(2); });
+  second();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  EXPECT_EQ(slab.num_chunks(), 1u);
+}
+
+TEST(CallbackSlabDeathTest, SecondInvocationOfACopiedHandleFails) {
+  CallbackSlab slab;
+  int runs = 0;
+  const std::string pad(40, 'p');
+  std::function<void()> action =
+      PackClosure(slab, [&runs, pad] { ++runs; });
+  std::function<void()> copy = action;
+  action();
+  EXPECT_EQ(runs, 1);
+  EXPECT_DEATH(copy(), "invoked more than once");
+  // The freed cell now holds another closure; the stale copy still fails
+  // instead of running it.
+  std::function<void()> other = PackClosure(slab, [&runs, pad] { runs += 10; });
+  EXPECT_DEATH(copy(), "invoked more than once");
+  other();
+  EXPECT_EQ(runs, 11);
 }
 
 }  // namespace

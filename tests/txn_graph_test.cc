@@ -301,6 +301,51 @@ TEST(TxnGraphDifferentialTest, WaitsForGraphMatchesReference) {
   }
 }
 
+// CycleThrough returns at once for a transaction nobody waits for. On
+// random waits-for graphs, sparse enough that many transactions have no
+// in-edges, every transaction's result must equal a full depth-first
+// search that has no such early exit.
+TEST(TxnGraphDifferentialTest, CycleThroughEarlyOutMatchesFullSearch) {
+  int64_t without_in_edges = 0;
+  int64_t with_in_edges = 0;
+  int64_t cycles = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    rng::Rng rng(seed);
+    db::WaitsForGraph wfg;
+    Waits waits;
+    const int64_t nodes = rng.UniformInt(2, 24);
+    const int64_t edges = rng.UniformInt(1, 2 * nodes);
+    for (int64_t e = 0; e < edges; ++e) {
+      const TxnId waiter = 1 + rng.UniformInt(0, nodes - 1);
+      const TxnId holder = 1 + rng.UniformInt(0, nodes - 1);
+      wfg.AddWaits(waiter, {holder});
+      std::vector<TxnId>& out = waits[waiter];
+      if (holder != waiter &&
+          std::find(out.begin(), out.end(), holder) == out.end()) {
+        out.push_back(holder);
+      }
+      if (out.empty()) waits.erase(waiter);
+    }
+    std::set<TxnId> waited_for;
+    for (const auto& [waiter, holders] : waits) {
+      waited_for.insert(holders.begin(), holders.end());
+    }
+    for (TxnId txn = 1; txn <= nodes; ++txn) {
+      std::set<TxnId> visited{txn};
+      std::vector<TxnId> expected{txn};
+      if (!FindCycle(waits, txn, txn, visited, expected)) expected.clear();
+      ASSERT_EQ(wfg.CycleThrough(txn), expected) << "txn " << txn;
+      (waited_for.count(txn) > 0 ? with_in_edges : without_in_edges) += 1;
+      cycles += expected.empty() ? 0 : 1;
+    }
+  }
+  // Both branches, and real cycles, were exercised.
+  EXPECT_GT(without_in_edges, 500);
+  EXPECT_GT(with_in_edges, 500);
+  EXPECT_GT(cycles, 100);
+}
+
 TEST(TxnGraphTest, SlotsAreReusedAfterRemoval) {
   // A chain whose head is removed as its tail grows: ten thousand ids
   // pass through, but only a handful are ever live at once.
